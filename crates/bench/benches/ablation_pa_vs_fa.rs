@@ -3,8 +3,7 @@
 //! software benchmark of the two organizations.
 
 use criterion::{black_box, Criterion};
-use twice::fa::FaTwice;
-use twice::pa::PaTwice;
+use twice::soa::{SoaFa, SoaPa};
 use twice::table::CounterTable;
 use twice::{CapacityBound, TwiceParams};
 use twice_bench::{paper_cfg, print_experiment};
@@ -21,10 +20,12 @@ fn main() {
         assert!(r.pa_energy_pj <= r.fa_energy_pj, "{label}");
     }
 
-    let bound = CapacityBound::for_params(&TwiceParams::paper_default());
+    let params = TwiceParams::paper_default();
+    let bound = CapacityBound::for_params(&params);
+    let (th_pi, th_rh) = (params.th_pi(), params.th_rh);
     let mut c = Criterion::default().configure_from_args();
     c.bench_function("a1/fa_record_act", |b| {
-        let mut t = FaTwice::new(bound.total());
+        let mut t = SoaFa::new(bound.total(), th_pi, th_rh);
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 200;
@@ -32,7 +33,7 @@ fn main() {
         })
     });
     c.bench_function("a1/pa_record_act", |b| {
-        let mut t = PaTwice::with_capacity_64way(bound.total());
+        let mut t = SoaPa::with_capacity_64way(bound.total(), th_pi, th_rh);
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 200;

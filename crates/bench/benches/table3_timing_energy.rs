@@ -5,24 +5,23 @@
 //! in SPICE have a tracked counterpart here.
 
 use criterion::{black_box, BatchSize, Criterion};
-use twice::fa::FaTwice;
-use twice::pa::PaTwice;
+use twice::soa::{SoaFa, SoaPa};
 use twice::table::CounterTable;
 use twice::{CapacityBound, TwiceParams};
 use twice_bench::print_experiment;
 use twice_common::{DdrTimings, RowId};
 use twice_sim::experiments::table3::table3;
 
-fn filled_fa(bound: &CapacityBound) -> FaTwice {
-    let mut t = FaTwice::new(bound.total());
+fn filled_fa(params: &TwiceParams, bound: &CapacityBound) -> SoaFa {
+    let mut t = SoaFa::new(bound.total(), params.th_pi(), params.th_rh);
     for i in 0..400u32 {
         t.record_act(RowId(i * 31));
     }
     t
 }
 
-fn filled_pa(bound: &CapacityBound) -> PaTwice {
-    let mut t = PaTwice::with_capacity_64way(bound.total());
+fn filled_pa(params: &TwiceParams, bound: &CapacityBound) -> SoaPa {
+    let mut t = SoaPa::with_capacity_64way(bound.total(), params.th_pi(), params.th_rh);
     for i in 0..400u32 {
         t.record_act(RowId(i * 31));
     }
@@ -41,23 +40,23 @@ fn main() {
     let mut c = Criterion::default().configure_from_args();
 
     c.bench_function("table3/fa_act_count_hit", |b| {
-        let mut t = filled_fa(&bound);
+        let mut t = filled_fa(&params, &bound);
         b.iter(|| t.record_act(black_box(RowId(31))))
     });
     c.bench_function("table3/pa_act_count_preferred_hit", |b| {
-        let mut t = filled_pa(&bound);
+        let mut t = filled_pa(&params, &bound);
         b.iter(|| t.record_act(black_box(RowId(31))))
     });
     c.bench_function("table3/fa_table_update_prune", |b| {
         b.iter_batched(
-            || filled_fa(&bound),
+            || filled_fa(&params, &bound),
             |mut t| t.prune(black_box(4)),
             BatchSize::SmallInput,
         )
     });
     c.bench_function("table3/pa_table_update_prune", |b| {
         b.iter_batched(
-            || filled_pa(&bound),
+            || filled_pa(&params, &bound),
             |mut t| t.prune(black_box(4)),
             BatchSize::SmallInput,
         )

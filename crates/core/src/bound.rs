@@ -18,8 +18,8 @@
 //! and [`adversarial_max_occupancy`] cross-checks that a front-loading
 //! adversary cannot exceed it.
 
-use crate::fa::FaTwice;
 use crate::params::TwiceParams;
+use crate::soa::SoaFa;
 use crate::table::CounterTable;
 use twice_common::RowId;
 
@@ -88,7 +88,7 @@ impl CapacityBound {
 }
 
 /// Simulates the strongest front-loading adversary against a real
-/// [`FaTwice`] table for `pis` pruning intervals and returns the maximum
+/// [`SoaFa`] table for `pis` pruning intervals and returns the maximum
 /// occupancy observed.
 ///
 /// The schedule: to peak at PI `T`, the budget of PI `T−a` is spent on
@@ -102,7 +102,7 @@ pub fn adversarial_max_occupancy(params: &TwiceParams, pis: u64) -> usize {
     let max_act = params.max_act();
     let th_pi = params.th_pi();
     // Generous table so occupancy is never limited by capacity here.
-    let mut table = FaTwice::new(bound.total() * 2 + 16);
+    let mut table = SoaFa::new(bound.total() * 2 + 16, th_pi, params.th_rh);
     let mut max_occ = 0usize;
     let mut next_row = 0u32;
     let t = pis.min(params.max_life());

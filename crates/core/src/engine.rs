@@ -17,11 +17,8 @@
 
 use crate::bound::CapacityBound;
 use crate::entry::TableEntry;
-use crate::fa::FaTwice;
-use crate::pa::PaTwice;
 use crate::params::TwiceParams;
 use crate::soa::{SoaFa, SoaPa, SoaSplit};
-use crate::split::SplitTwice;
 use crate::table::{CounterTable, RecordOutcome};
 use std::fmt;
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan, FaultTargeting};
@@ -43,14 +40,9 @@ macro_rules! debug_invariant {
     };
 }
 
-/// Which hardware organization backs each per-bank table.
-///
-/// The three primary variants run on the struct-of-arrays layout
-/// ([`crate::soa`]); the `Legacy*` variants keep the original map-based
-/// tables and exist as the differential-conformance oracle (and for the
-/// cost-model ablations that introspect the map-based types directly).
-/// Both layouts model the *same hardware* and make identical decisions —
-/// pinned by `tests/soa_equivalence.rs`.
+/// Which hardware organization backs each per-bank table. All three run
+/// on the struct-of-arrays layout ([`crate::soa`]) and make identical
+/// detection decisions; they differ in placement and its cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TableOrganization {
     /// fa-TWiCe: fully-associative CAM (§7.1 baseline).
@@ -60,12 +52,6 @@ pub enum TableOrganization {
     PseudoAssociative,
     /// Split short/long entries (§6.2).
     Split,
-    /// fa-TWiCe on the original map-based table (conformance oracle).
-    LegacyFullyAssociative,
-    /// pa-TWiCe on the original map-based table (conformance oracle).
-    LegacyPseudoAssociative,
-    /// Split organization on the original map-based table (oracle).
-    LegacySplit,
 }
 
 impl TableOrganization {
@@ -75,32 +61,6 @@ impl TableOrganization {
             TableOrganization::FullyAssociative => "fa",
             TableOrganization::PseudoAssociative => "pa",
             TableOrganization::Split => "split",
-            TableOrganization::LegacyFullyAssociative => "fa-legacy",
-            TableOrganization::LegacyPseudoAssociative => "pa-legacy",
-            TableOrganization::LegacySplit => "split-legacy",
-        }
-    }
-
-    /// The struct-of-arrays twin of a legacy organization (identity for
-    /// the SoA variants). Useful for pairing oracle and subject in
-    /// differential tests.
-    pub fn soa_twin(self) -> TableOrganization {
-        match self {
-            TableOrganization::LegacyFullyAssociative => TableOrganization::FullyAssociative,
-            TableOrganization::LegacyPseudoAssociative => TableOrganization::PseudoAssociative,
-            TableOrganization::LegacySplit => TableOrganization::Split,
-            other => other,
-        }
-    }
-
-    /// The legacy (map-based) twin of an SoA organization (identity for
-    /// the legacy variants).
-    pub fn legacy_twin(self) -> TableOrganization {
-        match self {
-            TableOrganization::FullyAssociative => TableOrganization::LegacyFullyAssociative,
-            TableOrganization::PseudoAssociative => TableOrganization::LegacyPseudoAssociative,
-            TableOrganization::Split => TableOrganization::LegacySplit,
-            other => other,
         }
     }
 }
@@ -208,17 +168,6 @@ impl TwiceEngine {
                         bound.split_long(),
                         th_pi,
                         max_cnt,
-                    )),
-                    TableOrganization::LegacyFullyAssociative => {
-                        Box::new(FaTwice::new(bound.total()))
-                    }
-                    TableOrganization::LegacyPseudoAssociative => {
-                        Box::new(PaTwice::with_capacity_64way(bound.total()))
-                    }
-                    TableOrganization::LegacySplit => Box::new(SplitTwice::new(
-                        bound.split_short(),
-                        bound.split_long(),
-                        th_pi,
                     )),
                 }
             })
@@ -556,8 +505,8 @@ impl RowHammerDefense for TwiceEngine {
         // the pre-SoA layout open with a u64 stats field where this u32
         // sits, so the tagged codec rejects them with a typed
         // `SnapshotError` before any state is touched. The *digest* is
-        // intentionally unversioned: it must stay comparable across the
-        // legacy and SoA layouts (the conformance suite relies on that).
+        // intentionally unversioned and placement-blind: it folds the
+        // sorted entries, not the slots they sit in.
         w.put_u32(ENGINE_LAYOUT_VERSION);
         w.put_u64(self.stats.acts);
         w.put_u64(self.stats.arrs);
@@ -685,13 +634,10 @@ mod tests {
         TwiceEngine::with_organization(TwiceParams::fast_test(), 2, org)
     }
 
-    const ALL_ORGS: [TableOrganization; 6] = [
+    const ALL_ORGS: [TableOrganization; 3] = [
         TableOrganization::FullyAssociative,
         TableOrganization::PseudoAssociative,
         TableOrganization::Split,
-        TableOrganization::LegacyFullyAssociative,
-        TableOrganization::LegacyPseudoAssociative,
-        TableOrganization::LegacySplit,
     ];
 
     #[test]
@@ -941,38 +887,6 @@ mod tests {
         let mut r = SnapshotReader::new(&blob).expect("valid container");
         let err = RowHammerDefense::load_state(&mut e, &mut r).expect_err("must reject");
         assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err}");
-    }
-
-    #[test]
-    fn legacy_and_soa_twins_are_digest_identical() {
-        use twice_common::rng::SplitMix64;
-        for org in [
-            TableOrganization::FullyAssociative,
-            TableOrganization::PseudoAssociative,
-            TableOrganization::Split,
-        ] {
-            let mut soa = engine(org);
-            let mut legacy = engine(org.legacy_twin());
-            let mut rng = SplitMix64::new(404);
-            for step in 0..6_000u64 {
-                if rng.chance(0.02) {
-                    let a = soa.on_auto_refresh(BankId(0), Time::ZERO);
-                    let b = legacy.on_auto_refresh(BankId(0), Time::ZERO);
-                    assert_eq!(a, b, "{org:?} prune at {step}");
-                    continue;
-                }
-                let row = RowId(rng.next_below(40) as u32);
-                let a = soa.on_activate(BankId(0), row, Time::ZERO);
-                let b = legacy.on_activate(BankId(0), row, Time::ZERO);
-                assert_eq!(a, b, "{org:?} at {step}");
-            }
-            let digest = |e: &TwiceEngine| {
-                let mut d = StateDigest::new();
-                RowHammerDefense::digest_state(e, &mut d);
-                d.finish()
-            };
-            assert_eq!(digest(&soa), digest(&legacy), "{org:?}");
-        }
     }
 
     #[test]

@@ -48,33 +48,6 @@ impl TableEntry {
         }
     }
 
-    /// Even-parity bit over the entry's stored words (`row`, `act_cnt`,
-    /// `life`), as a per-entry parity SRAM column would compute it on
-    /// write. An odd number of single-bit upsets since the last write
-    /// makes the recomputed parity disagree with the stored bit.
-    #[inline]
-    pub fn parity(&self) -> bool {
-        ((self.act_cnt ^ self.life ^ u64::from(self.row.0)).count_ones() & 1) == 1
-    }
-
-    /// The entry with one bit of its activation count flipped — a
-    /// single-event upset in the count word. Only the count field is
-    /// targetable: a flip in the CAM row-address column would desync the
-    /// table index, which the model scopes out (see `DESIGN.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is not below 64.
-    #[inline]
-    #[must_use]
-    pub fn with_count_bit_flipped(self, bit: u32) -> TableEntry {
-        assert!(bit < 64, "act_cnt is a 64-bit word");
-        TableEntry {
-            act_cnt: self.act_cnt ^ (1u64 << bit),
-            ..self
-        }
-    }
-
     /// The most significant set bit of the activation count, if any —
     /// the bit whose upset maximally *reduces* the count (the
     /// adversarial SEU used by hottest-entry targeting).

@@ -21,13 +21,12 @@
 //!   values (`thPI`, `maxact`, `maxlife`).
 //! * [`entry`] — the counter-table entry and the pruning rule.
 //! * [`table`] — the [`table::CounterTable`] abstraction.
-//! * [`fa`] — fa-TWiCe: the fully-associative (CAM) organization.
-//! * [`pa`] — pa-TWiCe: the pseudo-associative organization with
-//!   set-borrowing indicators (§6.1).
-//! * [`split`] — the split short/long-entry organization (§6.2).
-//! * [`soa`] — struct-of-arrays twins of all three organizations with
-//!   generation-stamped lazy pruning (the default hot path; the map-based
-//!   modules above are retained as the conformance oracle).
+//! * [`soa`] — the three organizations on one struct-of-arrays layout
+//!   with generation-stamped lazy pruning: fa-TWiCe, the
+//!   fully-associative (CAM) table; pa-TWiCe, the pseudo-associative
+//!   table with set-borrowing indicators (§6.1); and the split
+//!   short/long-entry table (§6.2). Their observable behavior is pinned
+//!   against a test-only executable spec (`tests/spec/mod.rs`).
 //! * [`engine`] — [`TwiceEngine`], the
 //!   [`twice_common::RowHammerDefense`] implementation.
 //! * [`bound`] — the §4.4 analytic capacity bound and an adversarial
@@ -63,12 +62,9 @@ pub mod bound;
 pub mod cost;
 pub mod engine;
 pub mod entry;
-pub mod fa;
 pub mod forensics;
-pub mod pa;
 pub mod params;
 pub mod soa;
-pub mod split;
 pub mod table;
 
 pub use bound::CapacityBound;

@@ -1,10 +1,11 @@
 //! The counter-table abstraction shared by all TWiCe organizations.
 //!
-//! fa-TWiCe ([`crate::fa`]), pa-TWiCe ([`crate::pa`]) and the split table
-//! ([`crate::split`]) are different *hardware layouts* of the same
-//! algorithmic object; they must make identical tracking decisions. The
-//! [`CounterTable`] trait captures that object, and the equivalence is
-//! property-tested in [`crate::engine`].
+//! fa-TWiCe ([`crate::soa::SoaFa`]), pa-TWiCe ([`crate::soa::SoaPa`]) and
+//! the split table ([`crate::soa::SoaSplit`]) are different *hardware
+//! layouts* of the same algorithmic object; they must make identical
+//! tracking decisions. The [`CounterTable`] trait captures that object.
+//! The equivalence is tested in [`crate::engine`], and each layout is
+//! checked against a test-only executable spec (`tests/spec/mod.rs`).
 
 use crate::entry::TableEntry;
 use twice_common::RowId;
@@ -56,17 +57,17 @@ pub trait CounterTable {
     fn get(&self, row: RowId) -> Option<TableEntry>;
 
     /// Snapshot of all valid entries (order unspecified).
-    fn entries(&self) -> Vec<TableEntry>;
+    fn entries(&self) -> Vec<TableEntry> {
+        let mut out = Vec::with_capacity(self.occupancy());
+        self.entries_into(&mut out);
+        out
+    }
 
     /// Fills `out` with all valid entries (order unspecified), reusing
-    /// its capacity — the allocation-free counterpart of
+    /// its capacity — the allocation-free form of
     /// [`CounterTable::entries`] for hot paths that probe the table on
-    /// every fault-injected ACT. The default delegates to `entries`;
-    /// organizations override it to avoid the intermediate `Vec`.
-    fn entries_into(&self, out: &mut Vec<TableEntry>) {
-        out.clear();
-        out.extend(self.entries());
-    }
+    /// every fault-injected ACT.
+    fn entries_into(&self, out: &mut Vec<TableEntry>);
 
     /// Clears the table.
     fn clear(&mut self);
@@ -74,66 +75,48 @@ pub trait CounterTable {
     /// Enables or disables per-entry parity checking (hardened TWiCe
     /// stores one parity bit per entry, written on every legitimate
     /// update; the unhardened baseline has no such column). With
-    /// checking off, injected upsets corrupt counts silently. Defaults
-    /// to a no-op for table models without a parity column.
-    fn set_parity_checking(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
+    /// checking off, injected upsets corrupt counts silently.
+    fn set_parity_checking(&mut self, enabled: bool);
 
     /// Injects a single-event upset: flips bit `bit` of the stored
     /// activation count of `row`'s entry *without* updating the stored
     /// parity bit (that is what makes it a fault). Returns `false` if
     /// the row is untracked (the upset landed in an invalid slot and has
-    /// no architectural effect). Defaults to no-op for models without
-    /// fault support.
-    fn inject_bit_flip(&mut self, row: RowId, bit: u32) -> bool {
-        let _ = (row, bit);
-        false
-    }
+    /// no architectural effect).
+    fn inject_bit_flip(&mut self, row: RowId, bit: u32) -> bool;
 
     /// Parity-scrub pass: checks every valid entry's recomputed parity
     /// against its stored bit, evicts the mismatching entries, and
-    /// returns their rows so the engine can fail safe (ARR them).
-    /// Returns nothing when parity checking is disabled. Defaults to a
-    /// no-op for models without a parity column.
+    /// returns their rows (sorted) so the engine can fail safe (ARR
+    /// them). Returns nothing when parity checking is disabled.
     fn scrub(&mut self) -> Vec<RowId> {
-        Vec::new()
+        let mut rows = Vec::new();
+        self.scrub_into(&mut rows);
+        rows
     }
 
     /// Fills `out` with the scrub pass's evicted rows (sorted), reusing
-    /// its capacity — the allocation-free counterpart of
-    /// [`CounterTable::scrub`] for the per-refresh hot path. The default
-    /// delegates to `scrub`; organizations override it to avoid the
-    /// intermediate `Vec`.
-    fn scrub_into(&mut self, out: &mut Vec<RowId>) {
-        out.clear();
-        out.extend(self.scrub());
-    }
+    /// its capacity — the allocation-free form of
+    /// [`CounterTable::scrub`] for the per-refresh hot path.
+    fn scrub_into(&mut self, out: &mut Vec<RowId>);
 
     /// Restores one exact entry (the snapshot-restore path): the entry is
     /// placed verbatim, count and life included, without the insertion
-    /// being observable in operation counters. Returns `false` when no
-    /// slot could be found (a snapshot/capacity mismatch). Defaults to
-    /// `false` for models without restore support.
-    fn insert_entry(&mut self, entry: TableEntry) -> bool {
-        let _ = entry;
-        false
-    }
+    /// being observable in operation counters. Returns `false` when the
+    /// row is already tracked or no slot could be found (a
+    /// snapshot/capacity mismatch).
+    fn insert_entry(&mut self, entry: TableEntry) -> bool;
 
     /// Rows whose stored parity currently disagrees with their contents
     /// (pending, not-yet-scrubbed corruption). Snapshots carry this set so
     /// a restored table fails parity on exactly the same rows the saved
-    /// one would have. Defaults to empty for models without a parity
-    /// column.
-    fn corrupted_rows(&self) -> Vec<RowId> {
-        Vec::new()
-    }
+    /// one would have. Sorted.
+    fn corrupted_rows(&self) -> Vec<RowId>;
 
     /// Marks `row`'s entry as parity-mismatched (the restore counterpart
-    /// of [`CounterTable::corrupted_rows`]). Defaults to a no-op.
-    fn mark_corrupted(&mut self, row: RowId) {
-        let _ = row;
-    }
+    /// of [`CounterTable::corrupted_rows`]); a no-op for an untracked
+    /// row.
+    fn mark_corrupted(&mut self, row: RowId);
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
 //! Property tests for the parity/scrub hardening: an injected
 //! counter-SRAM upset is always caught — by the read path if the row is
 //! touched first, otherwise by the very next scrub pass — and never
-//! survives a prune cycle.
+//! survives a prune cycle. Every property is checked on the production
+//! tables and on their executable spec (`spec/mod.rs`).
 //!
 //! Randomized inputs come from the in-tree `SplitMix64` generator (the
 //! build environment is offline, so the proptest crate is unavailable);
 //! fixed seeds keep every case reproducible.
 
-use twice::fa::FaTwice;
-use twice::pa::PaTwice;
-use twice::split::SplitTwice;
+mod spec;
+
+use spec::Spec;
+use twice::soa::{SoaFa, SoaPa, SoaSplit};
 use twice::table::{CounterTable, RecordOutcome};
 use twice::{TwiceEngine, TwiceParams};
 use twice_common::fault::{FaultKind, FaultPlan};
@@ -17,6 +19,20 @@ use twice_common::rng::SplitMix64;
 use twice_common::{BankId, RowHammerDefense, RowId, Time};
 
 const CASES: u64 = 24;
+
+/// Every organization, production table then spec, each with the seed
+/// salt it runs under.
+fn organizations() -> Vec<(Box<dyn CounterTable>, u64)> {
+    const MAX_CNT: u64 = 1 << 16;
+    vec![
+        (Box::new(SoaFa::new(128, 4, MAX_CNT)), 0),
+        (Box::new(SoaPa::new(8, 16, 4, MAX_CNT)), 0x1111),
+        (Box::new(SoaSplit::new(24, 104, 4, MAX_CNT)), 0x2222),
+        (Box::new(Spec::fa(128, 4)), 0),
+        (Box::new(Spec::pa(8, 16, 4)), 0x1111),
+        (Box::new(Spec::split(24, 104, 4)), 0x2222),
+    ]
+}
 
 /// Populates `table` with a handful of rows, then checks that a single
 /// injected upset is evicted by exactly one scrub pass.
@@ -71,27 +87,27 @@ fn check_unhardened_is_blind(table: &mut dyn CounterTable, seed: u64) {
 #[test]
 fn every_organization_scrubs_an_upset_in_one_pass() {
     for seed in 0..CASES {
-        check_one_scrub_evicts(&mut FaTwice::new(128), seed);
-        check_one_scrub_evicts(&mut PaTwice::new(8, 16), seed ^ 0x1111);
-        check_one_scrub_evicts(&mut SplitTwice::new(24, 104, 4), seed ^ 0x2222);
+        for (mut table, salt) in organizations() {
+            check_one_scrub_evicts(table.as_mut(), seed ^ salt);
+        }
     }
 }
 
 #[test]
 fn every_organization_catches_a_corrupt_read() {
     for seed in 0..CASES {
-        check_read_path_catches(&mut FaTwice::new(128), seed);
-        check_read_path_catches(&mut PaTwice::new(8, 16), seed ^ 0x1111);
-        check_read_path_catches(&mut SplitTwice::new(24, 104, 4), seed ^ 0x2222);
+        for (mut table, salt) in organizations() {
+            check_read_path_catches(table.as_mut(), seed ^ salt);
+        }
     }
 }
 
 #[test]
 fn unhardened_tables_are_blind_to_upsets() {
     for seed in 0..CASES {
-        check_unhardened_is_blind(&mut FaTwice::new(128), seed);
-        check_unhardened_is_blind(&mut PaTwice::new(8, 16), seed ^ 0x1111);
-        check_unhardened_is_blind(&mut SplitTwice::new(24, 104, 4), seed ^ 0x2222);
+        for (mut table, salt) in organizations() {
+            check_unhardened_is_blind(table.as_mut(), seed ^ salt);
+        }
     }
 }
 

@@ -1,29 +1,36 @@
-//! Differential conformance: the struct-of-arrays engine vs the legacy
-//! map-based engine, over real workload generators.
+//! Differential conformance: the struct-of-arrays tables behind
+//! [`TwiceEngine`] vs the executable spec in `spec/mod.rs`, over real
+//! workload generators.
 //!
-//! This is the safety harness the SoA rewrite ships inside. For every
-//! table organization × workload (the paper's S1/S2/S3 synthetics, a
-//! decoy-hammer attack, FFT, and the mcf SPEC model), a SoA engine and
-//! its legacy twin consume the *same* ACT/refresh stream and must agree
+//! For every table organization × workload (the paper's S1/S2/S3
+//! synthetics, a decoy-hammer attack, FFT, and the mcf SPEC model), each
+//! bank's production table and its spec consume the same ACT/refresh
+//! stream. [`Lockstep`] drives them the way the engine drives a bank's
+//! table (retire at `thRH`, fail safe on `TableFull` and `Corrupted`,
+//! scrub before prune, counter upsets from a fault plan) and checks a
+//! real engine's ARR decisions against that replay. The two must agree
 //! on:
 //!
-//! * every per-ACT [`DefenseResponse`] (ARR decisions, detections and
-//!   their reported counts),
-//! * every per-epoch prune response,
-//! * the full [`StateDigest`] at every epoch boundary (entry sets,
-//!   counts, *lives* — so lazy generation-stamped aging must be
-//!   indistinguishable from the legacy eager sweep),
-//! * the per-thread obs counter deltas attributable to each engine.
+//! * every per-operation [`RecordOutcome`] and every scrub victim list,
+//! * the sorted `(row, cnt, life)` entries and the corrupted rows after
+//!   every prune, so lazy generation-stamped aging must be
+//!   indistinguishable from the spec's eager sweep,
+//! * pa's [`PaStats`] and the `core.pa_set_probes` obs delta, and split's
+//!   promotions and spills.
 //!
 //! Runs last hundreds of epochs — several times `maxlife` and past the
-//! death-ring's wraparound point — so tREFW-straddling patterns and ring
+//! death ring's wraparound point — so tREFW-straddling patterns and ring
 //! reuse are exercised, not just steady state.
 
-use twice::engine::{TableOrganization, TwiceEngine};
-use twice::params::TwiceParams;
-use twice_common::fault::{FaultKind, FaultPlan};
+mod spec;
+
+use spec::Spec;
+use std::cmp::Reverse;
+use twice::soa::{PaStats, SoaFa, SoaPa, SoaSplit};
+use twice::table::{CounterTable, RecordOutcome};
+use twice::{CapacityBound, TableEntry, TableOrganization, TwiceEngine, TwiceParams};
+use twice_common::fault::{FaultInjector, FaultKind, FaultPlan, FaultTargeting};
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::StateDigest;
 use twice_common::{BankId, RowHammerDefense, RowId, Time, Topology};
 use twice_workloads::attack::{HammerAttack, HammerShape};
 use twice_workloads::fft::FftSource;
@@ -41,97 +48,274 @@ fn topo() -> Topology {
     t
 }
 
-const SOA_ORGS: [TableOrganization; 3] = [
+const ORGS: [TableOrganization; 3] = [
     TableOrganization::FullyAssociative,
     TableOrganization::PseudoAssociative,
     TableOrganization::Split,
 ];
 
-fn digest(e: &TwiceEngine) -> u64 {
-    let mut d = StateDigest::new();
-    RowHammerDefense::digest_state(e, &mut d);
-    d.finish()
+const BANKS: usize = 4;
+
+/// What a table exposes beyond [`CounterTable`].
+trait Observed: CounterTable {
+    fn pa_stats(&self) -> PaStats {
+        PaStats::default()
+    }
+    fn promotions_and_spills(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
-/// Drives `source` into a SoA engine and its legacy twin in lockstep,
-/// asserting the full conformance contract. `acts` is the total stream
-/// length; all banks are refreshed every `max_act` ACTs (the DDR
-/// environment guarantees at least that prune rate).
-fn assert_conformance(
-    label: &str,
-    org: TableOrganization,
-    mut source: impl AccessSource,
-    acts: u64,
-) {
-    let params = TwiceParams::fast_test();
-    let max_act = params.max_act();
-    let banks = 4u32;
-    let mut soa = TwiceEngine::with_organization(params.clone(), banks, org);
-    let mut legacy = TwiceEngine::with_organization(params, banks, org.legacy_twin());
-    assert_eq!(digest(&soa), digest(&legacy), "{label}/{org:?}: fresh");
+impl Observed for SoaFa {}
 
-    let mut soa_ctrs = vec![0u64; twice_obs::NUM_CTRS];
-    let mut legacy_ctrs = vec![0u64; twice_obs::NUM_CTRS];
-    let mut epochs = 0u64;
-    for step in 0..acts {
-        if step > 0 && step % max_act == 0 {
-            for b in 0..banks {
-                let c0 = twice_obs::local_counters();
-                let a = soa.on_auto_refresh(BankId(b), Time::ZERO);
-                let c1 = twice_obs::local_counters();
-                let l = legacy.on_auto_refresh(BankId(b), Time::ZERO);
-                let c2 = twice_obs::local_counters();
-                assert_eq!(a, l, "{label}/{org:?}: prune response, epoch {epochs}");
-                for i in 0..twice_obs::NUM_CTRS {
-                    soa_ctrs[i] += c1[i] - c0[i];
-                    legacy_ctrs[i] += c2[i] - c1[i];
-                }
-            }
-            epochs += 1;
-            assert_eq!(
-                digest(&soa),
-                digest(&legacy),
-                "{label}/{org:?}: digest diverged at epoch {epochs}"
-            );
-        }
-        let (_, decoded) = source.next_access();
-        let bank = BankId(u32::from(decoded.bank) % banks);
-        let row = decoded.row;
-        let c0 = twice_obs::local_counters();
-        let a = soa.on_activate(bank, row, Time::ZERO);
-        let c1 = twice_obs::local_counters();
-        let l = legacy.on_activate(bank, row, Time::ZERO);
-        let c2 = twice_obs::local_counters();
-        assert_eq!(a, l, "{label}/{org:?}: ACT {step} response");
-        for i in 0..twice_obs::NUM_CTRS {
-            soa_ctrs[i] += c1[i] - c0[i];
-            legacy_ctrs[i] += c2[i] - c1[i];
+impl Observed for SoaPa {
+    fn pa_stats(&self) -> PaStats {
+        self.stats()
+    }
+}
+
+impl Observed for SoaSplit {
+    fn promotions_and_spills(&self) -> (u64, u64) {
+        (self.promotions(), self.spills())
+    }
+}
+
+impl Observed for Spec {
+    fn pa_stats(&self) -> PaStats {
+        self.stats
+    }
+    fn promotions_and_spills(&self) -> (u64, u64) {
+        (self.promotions, self.spills)
+    }
+}
+
+/// A table and its spec, for one bank.
+type Pair = (Box<dyn Observed>, Spec);
+
+/// One bank's production table of `org` and its spec, sized the way
+/// [`TwiceEngine`] sizes them.
+fn bank_tables(org: TableOrganization, params: &TwiceParams) -> Pair {
+    let bound = CapacityBound::for_params(params);
+    let (total, short, long) = (bound.total(), bound.split_short(), bound.split_long());
+    let (th_pi, th_rh) = (params.th_pi(), params.th_rh);
+    match org {
+        TableOrganization::FullyAssociative => (
+            Box::new(SoaFa::new(total, th_pi, th_rh)),
+            Spec::fa(total, th_pi),
+        ),
+        TableOrganization::PseudoAssociative => (
+            Box::new(SoaPa::with_capacity_64way(total, th_pi, th_rh)),
+            Spec::pa(total.div_ceil(64), 64, th_pi),
+        ),
+        _ => (
+            Box::new(SoaSplit::new(short, long, th_pi, th_rh)),
+            Spec::split(short, long, th_pi),
+        ),
+    }
+}
+
+/// `(row, cnt, life)` entries in row order.
+fn sorted(mut entries: Vec<TableEntry>) -> Vec<TableEntry> {
+    entries.sort_unstable_by_key(|e| e.row);
+    entries
+}
+
+/// The calling thread's `core.pa_set_probes` counter.
+fn pa_probes() -> u64 {
+    twice_obs::local_counters()[twice_obs::Ctr::CorePaSetProbes as usize]
+}
+
+/// Runs `op` on a production table, adding the pa set probes it meters
+/// to `probes`.
+fn metered<R>(probes: &mut u64, op: impl FnOnce() -> R) -> R {
+    let before = pa_probes();
+    let out = op();
+    *probes += pa_probes() - before;
+    out
+}
+
+/// Every bank's production table and spec, driven in lockstep the way
+/// [`TwiceEngine`] drives its tables, beside a real engine whose ARR
+/// decisions must match the replay.
+struct Lockstep {
+    label: String,
+    th_pi: u64,
+    th_rh: u64,
+    banks: Vec<Pair>,
+    engine: TwiceEngine,
+    scrubbing: bool,
+    injector: FaultInjector,
+    /// `core.pa_set_probes` metered by the production tables alone.
+    probes: u64,
+    /// Whether obs probes are compiled in (`obs-off` reads zero).
+    obs: bool,
+    epochs: u64,
+}
+
+impl Lockstep {
+    fn new(label: &str, org: TableOrganization, scrubbing: bool, plan: &FaultPlan) -> Lockstep {
+        const SALT: u64 = 0x51;
+        let params = TwiceParams::fast_test();
+        let banks = (0..BANKS)
+            .map(|_| {
+                let (mut table, mut spec) = bank_tables(org, &params);
+                table.set_parity_checking(scrubbing);
+                spec.set_parity_checking(scrubbing);
+                (table, spec)
+            })
+            .collect();
+        let before = pa_probes();
+        twice_obs::bump(twice_obs::Ctr::CorePaSetProbes);
+        Lockstep {
+            label: format!("{label}/{org:?}"),
+            th_pi: params.th_pi(),
+            th_rh: params.th_rh,
+            banks,
+            engine: TwiceEngine::with_organization(params, BANKS as u32, org)
+                .with_scrubbing(scrubbing)
+                .with_fault_plan(plan, SALT),
+            scrubbing,
+            injector: plan.injector(SALT),
+            probes: 0,
+            obs: pa_probes() != before,
+            epochs: 0,
         }
     }
-    assert!(
-        epochs > 2 * TwiceParams::fast_test().max_life(),
-        "{label}: stream too short to straddle tREFW ({epochs} epochs)"
-    );
-    assert_eq!(
-        digest(&soa),
-        digest(&legacy),
-        "{label}/{org:?}: final digest"
-    );
-    // Probe-count parity is part of the contract: pa's set-probe counter
-    // and histogram feed the energy model, so the SoA table must count
-    // lookups identically, not just resolve them identically.
-    assert_eq!(
-        soa_ctrs, legacy_ctrs,
-        "{label}/{org:?}: obs counter deltas diverged"
-    );
-    assert_eq!(soa.stats(), legacy.stats(), "{label}/{org:?}: engine stats");
+
+    fn act(&mut self, bank: usize, row: RowId, step: u64) {
+        // The engine's counter upsets land before the ACT is counted.
+        if self.injector.fire(FaultKind::CounterBitFlip) {
+            self.upset(bank, false);
+        }
+        if self.injector.fire(FaultKind::CounterStuckBit) {
+            self.upset(bank, true);
+        }
+        let (table, spec) = &mut self.banks[bank];
+        let got = metered(&mut self.probes, || table.record_act(row));
+        assert_eq!(got, spec.record_act(row), "{}: ACT {step}", self.label);
+        let retire = match got {
+            RecordOutcome::Counted { act_cnt } => act_cnt >= self.th_rh,
+            RecordOutcome::TableFull => false,
+            RecordOutcome::Corrupted => true,
+        };
+        if retire {
+            metered(&mut self.probes, || table.remove(row));
+            spec.remove(row);
+        }
+        let arr = retire || got == RecordOutcome::TableFull;
+        let response = self
+            .engine
+            .on_activate(BankId(bank as u32), row, Time::ZERO);
+        assert_eq!(
+            response.arr.is_some(),
+            arr,
+            "{}: engine ARR at ACT {step}",
+            self.label
+        );
+    }
+
+    /// Replays the engine's counter upsets: an SEU flips one count bit
+    /// of a random entry or of the hottest one (per the plan's
+    /// targeting); a stuck-at-0 cell clears the hottest entry's top bit.
+    fn upset(&mut self, bank: usize, stuck: bool) {
+        let (table, spec) = &mut self.banks[bank];
+        let mut entries = spec.entries();
+        entries.sort_unstable_by_key(|e| e.row);
+        let hottest = entries.iter().max_by_key(|e| (e.act_cnt, Reverse(e.row)));
+        let (row, bit) = match (hottest, stuck, self.injector.targeting()) {
+            (None, ..) => return,
+            (Some(e), true, _) => match e.top_count_bit() {
+                Some(bit) => (e.row, bit),
+                None => return,
+            },
+            (Some(e), false, FaultTargeting::Hottest) => (e.row, e.top_count_bit().unwrap_or(0)),
+            (Some(_), false, FaultTargeting::Random) => {
+                let e = entries[self.injector.draw(entries.len() as u64) as usize];
+                (e.row, self.injector.draw(16) as u32)
+            }
+        };
+        assert_eq!(
+            table.inject_bit_flip(row, bit),
+            spec.inject_bit_flip(row, bit),
+            "{}: upset of row {}",
+            self.label,
+            row.0
+        );
+    }
+
+    /// One auto-refresh of every bank: scrub (when hardened), prune, and
+    /// compare everything a table exposes.
+    fn refresh(&mut self) {
+        self.epochs += 1;
+        for (b, (table, spec)) in self.banks.iter_mut().enumerate() {
+            let label = format!("{} epoch {} bank {b}", self.label, self.epochs);
+            let response = self.engine.on_auto_refresh(BankId(b as u32), Time::ZERO);
+            if self.scrubbing {
+                let victims = metered(&mut self.probes, || table.scrub());
+                assert_eq!(victims, spec.scrub(), "{label}: scrub victims");
+                let arrs: Vec<RowId> = response
+                    .arr
+                    .into_iter()
+                    .chain(response.refresh_rows)
+                    .collect();
+                assert_eq!(arrs, victims, "{label}: engine scrub ARRs");
+            }
+            table.prune(self.th_pi);
+            spec.prune(self.th_pi);
+            assert_eq!(
+                sorted(table.entries()),
+                sorted(spec.entries()),
+                "{label}: entries"
+            );
+            assert_eq!(
+                table.corrupted_rows(),
+                spec.corrupted_rows(),
+                "{label}: parity"
+            );
+            assert_eq!(table.pa_stats(), spec.pa_stats(), "{label}: pa stats");
+            assert_eq!(
+                table.promotions_and_spills(),
+                spec.promotions_and_spills(),
+                "{label}: split promotions and spills"
+            );
+        }
+        if self.obs {
+            let spec_probes: u64 = self.banks.iter().map(|(_, s)| s.stats.set_probes).sum();
+            assert_eq!(
+                self.probes, spec_probes,
+                "{}: core.pa_set_probes",
+                self.label
+            );
+        }
+    }
+
+    /// Feeds `acts` ACTs from `source`, refreshing all banks every
+    /// `maxact` ACTs (the DDR environment guarantees at least that prune
+    /// rate) and once more at the end.
+    fn drive(&mut self, mut source: impl AccessSource, acts: u64) {
+        let max_act = TwiceParams::fast_test().max_act();
+        for step in 0..acts {
+            if step > 0 && step % max_act == 0 {
+                self.refresh();
+            }
+            let (_, decoded) = source.next_access();
+            self.act(usize::from(decoded.bank) % BANKS, decoded.row, step);
+        }
+        self.refresh();
+    }
 }
 
-/// Every organization × every workload generator. One test per workload
-/// keeps failures attributable.
+/// Every organization over one workload generator, fault-free. One test
+/// per workload keeps failures attributable.
 fn run_all_orgs(label: &str, make: impl Fn() -> Box<dyn AccessSource + Send>, acts: u64) {
-    for org in SOA_ORGS {
-        assert_conformance(label, org, make(), acts);
+    for org in ORGS {
+        let mut ls = Lockstep::new(label, org, true, &FaultPlan::none());
+        ls.drive(make(), acts);
+        assert!(
+            ls.epochs > 2 * TwiceParams::fast_test().max_life(),
+            "{label}: stream too short to straddle tREFW ({} epochs)",
+            ls.epochs
+        );
     }
 }
 
@@ -205,118 +389,113 @@ fn mcf_conforms() {
     );
 }
 
-/// Fault injection drives the corruption paths (parity hits, scrub
-/// evictions, the split table's eager-sweep fallback). Both engines arm
-/// the same plan and salt, so the injected upset streams are identical
-/// and every downstream decision must be too.
+/// Fault injection drives the corruption paths: parity hits, scrub
+/// evictions, and count upsets that leave a split short entry able to
+/// survive a prune.
 #[test]
 fn fault_injected_streams_conform() {
     let t = topo();
-    let params = TwiceParams::fast_test();
-    let max_act = params.max_act();
-    for org in SOA_ORGS {
+    let plan = FaultPlan::with_seed(9)
+        .rate(FaultKind::CounterBitFlip, 0.01)
+        .rate(FaultKind::CounterStuckBit, 0.002);
+    for org in ORGS {
         for scrubbing in [true, false] {
-            let plan = FaultPlan::with_seed(9)
-                .rate(FaultKind::CounterBitFlip, 0.01)
-                .rate(FaultKind::CounterStuckBit, 0.002);
-            let mut soa = TwiceEngine::with_organization(params.clone(), 4, org)
-                .with_scrubbing(scrubbing)
-                .with_fault_plan(&plan, 0x51);
-            let mut legacy = TwiceEngine::with_organization(params.clone(), 4, org.legacy_twin())
-                .with_scrubbing(scrubbing)
-                .with_fault_plan(&plan, 0x51);
-            let mut src = S1Random::new(&t, 77);
-            for step in 0..20_000u64 {
-                if step > 0 && step % max_act == 0 {
-                    for b in 0..4 {
-                        let a = soa.on_auto_refresh(BankId(b), Time::ZERO);
-                        let l = legacy.on_auto_refresh(BankId(b), Time::ZERO);
-                        assert_eq!(a, l, "{org:?} scrub={scrubbing} prune at {step}");
-                    }
-                    assert_eq!(
-                        digest(&soa),
-                        digest(&legacy),
-                        "{org:?} scrub={scrubbing} digest at {step}"
-                    );
-                }
-                let (_, d) = src.next_access();
-                let bank = BankId(u32::from(d.bank) % 4);
-                let a = soa.on_activate(bank, d.row, Time::ZERO);
-                let l = legacy.on_activate(bank, d.row, Time::ZERO);
-                assert_eq!(a, l, "{org:?} scrub={scrubbing} ACT {step}");
-            }
+            let mut ls = Lockstep::new("faults", org, scrubbing, &plan);
+            ls.drive(S1Random::new(&t, 77), 20_000);
             assert!(
-                soa.stats().seu_injected > 0,
+                ls.engine.stats().seu_injected > 0,
                 "{org:?}: plan must actually fire"
             );
-            assert_eq!(soa.stats(), legacy.stats(), "{org:?} scrub={scrubbing}");
         }
     }
 }
 
-/// Lazy-prune ≡ eager-sweep under arbitrary ACT/refresh interleavings,
+/// Lazy prune ≡ eager sweep under arbitrary ACT/refresh interleavings,
 /// at the table level: random scripts where refreshes can cluster
 /// (several prunes back-to-back with no ACTs — the pattern the death
 /// ring must absorb without dropping an entry early or late).
 #[test]
 fn random_interleavings_prune_identically() {
-    use twice::table::{CounterTable, RecordOutcome};
     const TH_PI: u64 = 4;
     const MAX_CNT: u64 = 256;
     for case in 0..48u64 {
         let mut rng = SplitMix64::new(0x50A0 + case);
-        let mut pairs: Vec<(Box<dyn CounterTable>, Box<dyn CounterTable>)> = vec![
+        let mut pairs: Vec<Pair> = vec![
             (
-                Box::new(twice::soa::SoaFa::new(24, TH_PI, MAX_CNT)),
-                Box::new(twice::fa::FaTwice::new(24)),
+                Box::new(SoaFa::new(24, TH_PI, MAX_CNT)),
+                Spec::fa(24, TH_PI),
             ),
             (
-                Box::new(twice::soa::SoaPa::new(4, 6, TH_PI, MAX_CNT)),
-                Box::new(twice::pa::PaTwice::new(4, 6)),
+                Box::new(SoaPa::new(4, 6, TH_PI, MAX_CNT)),
+                Spec::pa(4, 6, TH_PI),
             ),
             (
-                Box::new(twice::soa::SoaSplit::new(6, 18, TH_PI, MAX_CNT)),
-                Box::new(twice::split::SplitTwice::new(6, 18, TH_PI)),
+                Box::new(SoaSplit::new(6, 18, TH_PI, MAX_CNT)),
+                Spec::split(6, 18, TH_PI),
             ),
         ];
         for step in 0..1_200u32 {
             // 1-in-8 ops is a refresh; refreshes often arrive in bursts
             // (an idle bank keeps refreshing with no intervening ACTs).
             if rng.chance(0.125) {
-                let burst = 1 + rng.next_below(4);
-                for _ in 0..burst {
-                    for (soa, legacy) in &mut pairs {
-                        soa.prune(TH_PI);
-                        legacy.prune(TH_PI);
+                for _ in 0..1 + rng.next_below(4) {
+                    for (table, spec) in &mut pairs {
+                        table.prune(TH_PI);
+                        spec.prune(TH_PI);
                     }
                 }
             } else {
                 let row = RowId(rng.next_below(40) as u32);
-                for (soa, legacy) in &mut pairs {
-                    let a = soa.record_act(row);
-                    let b = legacy.record_act(row);
-                    assert_eq!(a, b, "case {case} step {step}");
-                    if let (
-                        RecordOutcome::Counted { act_cnt },
-                        RecordOutcome::Counted { act_cnt: expect },
-                    ) = (a, b)
-                    {
-                        assert_eq!(act_cnt, expect, "case {case} step {step}");
-                    }
+                for (table, spec) in &mut pairs {
+                    assert_eq!(
+                        table.record_act(row),
+                        spec.record_act(row),
+                        "case {case} step {step}"
+                    );
                 }
             }
-            for (soa, legacy) in &mut pairs {
+            for (table, spec) in &pairs {
                 assert_eq!(
-                    soa.occupancy(),
-                    legacy.occupancy(),
-                    "case {case} step {step}"
+                    sorted(table.entries()),
+                    sorted(spec.entries()),
+                    "case {case} step {step}: entries"
                 );
-                let mut a = soa.entries();
-                let mut b = legacy.entries();
-                a.sort_unstable_by_key(|e| e.row);
-                b.sort_unstable_by_key(|e| e.row);
-                assert_eq!(a, b, "case {case} step {step}: entry sets/lives");
             }
         }
+        for (table, spec) in &pairs {
+            assert_eq!(table.pa_stats(), spec.pa_stats(), "case {case}");
+            assert_eq!(
+                table.promotions_and_spills(),
+                spec.promotions_and_spills(),
+                "case {case}"
+            );
+        }
+    }
+}
+
+/// A promotion that fails with the long sub-table full of proven entries
+/// leaves the row short at or above `thPI`; every later prune must then
+/// age and relocate it exactly as the spec does.
+#[test]
+fn promote_failure_keeps_short_survivor_alive() {
+    let mut table = SoaSplit::new(1, 1, 4, 256);
+    let mut spec = Spec::split(1, 1, 4);
+    for step in 0..40 {
+        for row in [0u32, 1] {
+            for _ in 0..4 {
+                let got = table.record_act(RowId(row));
+                assert_eq!(got, spec.record_act(RowId(row)), "step {step} row {row}");
+                if got == RecordOutcome::TableFull {
+                    break;
+                }
+            }
+        }
+        table.prune(4);
+        spec.prune(4);
+        assert_eq!(
+            sorted(table.entries()),
+            sorted(spec.entries()),
+            "step {step}"
+        );
     }
 }

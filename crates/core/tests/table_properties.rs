@@ -1,47 +1,19 @@
-//! Property tests on the counter-table data structures themselves: all
-//! three organizations are observationally equivalent to a reference
-//! model under arbitrary operation sequences that respect the per-PI
-//! activation budget.
+//! Property tests on the counter-table data structures themselves: each
+//! organization matches its executable spec (`spec/mod.rs`) operation by
+//! operation, and all three keep identical entries, under arbitrary
+//! operation sequences that respect the per-PI activation budget.
 //!
 //! Randomized inputs come from the in-tree `SplitMix64` generator (the
 //! build environment is offline, so the proptest crate is unavailable);
 //! fixed seeds keep every case reproducible.
 
-use std::collections::HashMap;
-use twice::fa::FaTwice;
-use twice::pa::PaTwice;
+mod spec;
+
+use spec::Spec;
 use twice::soa::{SoaFa, SoaPa, SoaSplit};
-use twice::split::SplitTwice;
 use twice::table::{CounterTable, RecordOutcome};
 use twice_common::rng::SplitMix64;
 use twice_common::RowId;
-
-/// A trivially correct reference: unbounded map + the pruning rule.
-#[derive(Default)]
-struct ModelTable {
-    entries: HashMap<u32, (u64, u64)>, // row -> (act_cnt, life)
-}
-
-impl ModelTable {
-    fn record_act(&mut self, row: RowId) -> u64 {
-        let e = self.entries.entry(row.0).or_insert((0, 1));
-        e.0 += 1;
-        e.0
-    }
-    fn remove(&mut self, row: RowId) {
-        self.entries.remove(&row.0);
-    }
-    fn prune(&mut self, th_pi: u64) {
-        self.entries.retain(|_, (cnt, life)| {
-            if *cnt >= th_pi * *life {
-                *life += 1;
-                true
-            } else {
-                false
-            }
-        });
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -71,108 +43,74 @@ fn script(seed: u64) -> Vec<Vec<Op>> {
         .collect()
 }
 
-fn run_script<T: CounterTable>(
-    table: &mut T,
-    script: &[Vec<Op>],
-    th_pi: u64,
-) -> Vec<(u32, u64, u64)> {
-    let mut model = ModelTable::default();
-    for pi in script {
-        for op in pi {
-            match op {
-                Op::Act(r) => {
-                    let row = RowId(u32::from(*r));
-                    let outcome = table.record_act(row);
-                    let expected = model.record_act(row);
-                    assert_eq!(
-                        outcome,
-                        RecordOutcome::Counted { act_cnt: expected },
-                        "count mismatch on row {r}"
-                    );
-                }
-                Op::Remove(r) => {
-                    let row = RowId(u32::from(*r));
-                    table.remove(row);
-                    model.remove(row);
-                }
-            }
-        }
-        table.prune(th_pi);
-        model.prune(th_pi);
-        assert_eq!(table.occupancy(), model.entries.len(), "occupancy diverged");
-    }
+fn sorted(table: &dyn CounterTable) -> Vec<(u32, u64, u64)> {
     let mut entries: Vec<(u32, u64, u64)> = table
         .entries()
         .into_iter()
         .map(|e| (e.row.0, e.act_cnt, e.life))
         .collect();
     entries.sort_unstable();
-    let mut expected: Vec<(u32, u64, u64)> = model
-        .entries
-        .iter()
-        .map(|(r, (c, l))| (*r, *c, *l))
-        .collect();
-    expected.sort_unstable();
-    assert_eq!(entries, expected, "final table contents diverged");
     entries
 }
 
+/// Runs `script` on `table` and `spec` in lockstep: identical outcomes
+/// on every ACT (never `TableFull`: the tables are sized for the
+/// budget), identical entries after every prune. Returns the final
+/// sorted entries.
+fn run_script(
+    table: &mut dyn CounterTable,
+    spec: &mut Spec,
+    script: &[Vec<Op>],
+    th_pi: u64,
+) -> Vec<(u32, u64, u64)> {
+    for pi in script {
+        for &op in pi {
+            match op {
+                Op::Act(r) => {
+                    let row = RowId(u32::from(r));
+                    let outcome = table.record_act(row);
+                    assert_eq!(outcome, spec.record_act(row), "outcome on row {r}");
+                    assert!(
+                        matches!(outcome, RecordOutcome::Counted { .. }),
+                        "row {r}: {outcome:?}"
+                    );
+                }
+                Op::Remove(r) => {
+                    table.remove(RowId(u32::from(r)));
+                    spec.remove(RowId(u32::from(r)));
+                }
+            }
+        }
+        table.prune(th_pi);
+        spec.prune(th_pi);
+        assert_eq!(sorted(table), sorted(spec), "entries diverged");
+    }
+    sorted(table)
+}
+
 const CASES: u64 = 64;
-
-#[test]
-fn fa_matches_the_reference_model() {
-    for seed in 0..CASES {
-        run_script(&mut FaTwice::new(128), &script(seed), 4);
-    }
-}
-
-#[test]
-fn pa_matches_the_reference_model() {
-    for seed in 0..CASES {
-        run_script(&mut PaTwice::new(8, 16), &script(seed ^ 0x1111), 4);
-    }
-}
-
-#[test]
-fn split_matches_the_reference_model() {
-    // Sized like the bound would: shorts for fresh entries, longs
-    // for survivors/promotions, with spill room.
-    for seed in 0..CASES {
-        run_script(&mut SplitTwice::new(24, 104, 4), &script(seed ^ 0x2222), 4);
-    }
-}
-
-#[test]
-fn all_three_agree_with_each_other() {
-    for seed in 0..CASES {
-        let s = script(seed ^ 0x3333);
-        let a = run_script(&mut FaTwice::new(128), &s, 4);
-        let b = run_script(&mut PaTwice::new(8, 16), &s, 4);
-        let c = run_script(&mut SplitTwice::new(24, 104, 4), &s, 4);
-        assert_eq!(a, b, "fa vs pa diverged (seed {seed})");
-        assert_eq!(a, c, "fa vs split diverged (seed {seed})");
-    }
-}
-
-// The struct-of-arrays rewrites must satisfy the same reference-model
-// contract as the legacy tables, over the same scripts — lazy
-// generation-stamped pruning is indistinguishable from the model's
-// eager retain. `max_cnt` mirrors fast-test physics (20-op PIs keep
-// counts far below it).
+// `max_cnt` mirrors fast-test physics (20-op PIs keep counts far below
+// it).
 const MAX_CNT: u64 = 1 << 16;
 
 #[test]
-fn soa_fa_matches_the_reference_model() {
+fn fa_matches_the_spec() {
     for seed in 0..CASES {
-        run_script(&mut SoaFa::new(128, 4, MAX_CNT), &script(seed), 4);
+        run_script(
+            &mut SoaFa::new(128, 4, MAX_CNT),
+            &mut Spec::fa(128, 4),
+            &script(seed),
+            4,
+        );
     }
 }
 
 #[test]
-fn soa_pa_matches_the_reference_model() {
+fn pa_matches_the_spec() {
     for seed in 0..CASES {
         run_script(
             &mut SoaPa::new(8, 16, 4, MAX_CNT),
+            &mut Spec::pa(8, 16, 4),
             &script(seed ^ 0x1111),
             4,
         );
@@ -180,10 +118,13 @@ fn soa_pa_matches_the_reference_model() {
 }
 
 #[test]
-fn soa_split_matches_the_reference_model() {
+fn split_matches_the_spec() {
+    // Sized like the bound would: shorts for fresh entries, longs for
+    // survivors/promotions, with spill room.
     for seed in 0..CASES {
         run_script(
             &mut SoaSplit::new(24, 104, 4, MAX_CNT),
+            &mut Spec::split(24, 104, 4),
             &script(seed ^ 0x2222),
             4,
         );
@@ -191,24 +132,28 @@ fn soa_split_matches_the_reference_model() {
 }
 
 #[test]
-fn soa_and_legacy_tables_agree_on_shared_scripts() {
+fn all_three_agree_with_each_other() {
     for seed in 0..CASES {
-        let s = script(seed ^ 0x4444);
-        let fa = run_script(&mut FaTwice::new(128), &s, 4);
-        assert_eq!(
-            fa,
-            run_script(&mut SoaFa::new(128, 4, MAX_CNT), &s, 4),
-            "fa vs soa-fa diverged (seed {seed})"
+        let s = script(seed ^ 0x3333);
+        let fa = run_script(
+            &mut SoaFa::new(128, 4, MAX_CNT),
+            &mut Spec::fa(128, 4),
+            &s,
+            4,
         );
-        assert_eq!(
-            run_script(&mut PaTwice::new(8, 16), &s, 4),
-            run_script(&mut SoaPa::new(8, 16, 4, MAX_CNT), &s, 4),
-            "pa vs soa-pa diverged (seed {seed})"
+        let pa = run_script(
+            &mut SoaPa::new(8, 16, 4, MAX_CNT),
+            &mut Spec::pa(8, 16, 4),
+            &s,
+            4,
         );
-        assert_eq!(
-            run_script(&mut SplitTwice::new(24, 104, 4), &s, 4),
-            run_script(&mut SoaSplit::new(24, 104, 4, MAX_CNT), &s, 4),
-            "split vs soa-split diverged (seed {seed})"
+        let split = run_script(
+            &mut SoaSplit::new(24, 104, 4, MAX_CNT),
+            &mut Spec::split(24, 104, 4),
+            &s,
+            4,
         );
+        assert_eq!(fa, pa, "fa vs pa diverged (seed {seed})");
+        assert_eq!(fa, split, "fa vs split diverged (seed {seed})");
     }
 }

@@ -754,8 +754,8 @@ fn run_profile(args: &Args) -> Result<ExitCode, CliError> {
 /// Times one table organization's engine hot path directly: a
 /// deterministic pseudo-random row stream into `on_activate`, with a
 /// prune across all banks every `max_act` ACTs — the TWiCe per-ACT work
-/// with no simulator around it, so the SoA-vs-legacy layout difference
-/// is what the clock sees. Returns (wall seconds, anti-DCE sink).
+/// with no simulator around it, so the table layout is what the clock
+/// sees. Returns (wall seconds, anti-DCE sink).
 fn bench_table_variant(org: TableOrganization, acts: u64) -> (f64, u64) {
     use twice::TwiceEngine;
     use twice_common::rng::SplitMix64;
@@ -796,7 +796,7 @@ fn bench_table_variant(org: TableOrganization, acts: u64) -> (f64, u64) {
 /// only printed) when the parallel job count actually differs from the
 /// serial pass; `serial_jobs`/`parallel_jobs` are recorded separately
 /// so the file can never claim a speedup between two identical runs.
-/// `soa_acts_per_sec` is the *slowest* SoA variant's hot-path
+/// `soa_acts_per_sec` is the *slowest* table organization's hot-path
 /// throughput — the honest floor a regression guard can compare.
 fn run_bench(args: &Args) -> Result<ExitCode, CliError> {
     let requests = args
@@ -838,18 +838,14 @@ fn run_bench(args: &Args) -> Result<ExitCode, CliError> {
         .map(|c| c.acts)
         .sum();
     let acts_per_sec = (acts as f64 / pooled_secs.max(1e-9)).round() as u64;
-    // Hot-path throughput per table organization (SoA variants and
-    // their map-based legacy twins). The budget scales with the request
-    // budget so CI smoke runs stay quick, with a floor that keeps the
-    // measurement out of timer-noise territory.
+    // Hot-path throughput per table organization. The budget scales
+    // with the request budget so CI smoke runs stay quick, with a floor
+    // that keeps the measurement out of timer-noise territory.
     let variant_acts = (requests * 25).max(1_000_000);
-    const VARIANT_ORGS: [TableOrganization; 6] = [
+    const VARIANT_ORGS: [TableOrganization; 3] = [
         TableOrganization::FullyAssociative,
         TableOrganization::PseudoAssociative,
         TableOrganization::Split,
-        TableOrganization::LegacyFullyAssociative,
-        TableOrganization::LegacyPseudoAssociative,
-        TableOrganization::LegacySplit,
     ];
     let variants: Vec<(&'static str, f64, u64)> = VARIANT_ORGS
         .into_iter()
@@ -859,11 +855,11 @@ fn run_bench(args: &Args) -> Result<ExitCode, CliError> {
             (org.label(), secs, aps)
         })
         .collect();
-    let soa_acts_per_sec = variants[..3]
+    let soa_acts_per_sec = variants
         .iter()
         .map(|(_, _, aps)| *aps)
         .min()
-        .expect("three SoA variants");
+        .expect("three table variants");
     let path = args.file.clone().unwrap_or_else(|| "BENCH_3.json".into());
     let counters: Vec<String> = twice_obs::Ctr::ALL
         .into_iter()
@@ -917,19 +913,9 @@ fn run_bench(args: &Args) -> Result<ExitCode, CliError> {
         "table1 x{requests}: serial {serial_secs:.3}s, --jobs {parallel_jobs} \
          {pooled_secs:.3}s{speedup_note}, {acts_per_sec} acts/s -> {path}"
     );
-    // Hot-path rows, with each SoA variant's gain over its legacy twin.
-    for (i, (label, secs, aps)) in variants.iter().enumerate() {
-        let vs_legacy = if i < 3 {
-            let legacy_aps = variants[i + 3].2;
-            format!(
-                ", {:.1}x vs {}",
-                *aps as f64 / legacy_aps.max(1) as f64,
-                variants[i + 3].0
-            )
-        } else {
-            String::new()
-        };
-        println!("table {label:12} x{variant_acts}: {secs:.3}s, {aps} acts/s{vs_legacy}");
+    // Hot-path rows.
+    for (label, secs, aps) in &variants {
+        println!("table {label:12} x{variant_acts}: {secs:.3}s, {aps} acts/s");
     }
     // The per-phase breakdown, mirrored to stdout for humans.
     for s in twice_obs::SpanId::ALL {

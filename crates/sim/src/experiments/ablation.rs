@@ -11,7 +11,7 @@ use crate::report::{percent, Table};
 use crate::runner::build_trace;
 use crate::runner::WorkloadKind;
 use twice::cost::TwiceCostModel;
-use twice::pa::PaTwice;
+use twice::soa::SoaPa;
 use twice::table::CounterTable;
 use twice::{CapacityBound, TwiceParams};
 use twice_common::Span;
@@ -36,8 +36,8 @@ pub struct PaVsFaResult {
 /// Runs A1 on `workload`'s row stream (bank 0 of channel 0).
 pub fn pa_vs_fa(cfg: &SimConfig, workload: WorkloadKind, requests: u64) -> PaVsFaResult {
     let bound = CapacityBound::for_params(&cfg.params);
-    let mut pa = PaTwice::with_capacity_64way(bound.total());
     let th_pi = cfg.params.th_pi();
+    let mut pa = SoaPa::with_capacity_64way(bound.total(), th_pi, cfg.params.th_rh);
     let max_act = cfg.params.max_act();
     let mut acts = 0u64;
     for (_, access) in build_trace(cfg, &workload, requests) {
