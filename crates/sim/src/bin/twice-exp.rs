@@ -57,10 +57,12 @@ use twice::cost::TwiceCostModel;
 use twice::{TableOrganization, TwiceParams};
 use twice_mitigations::DefenseKind;
 use twice_sim::campaign::CampaignConfig;
+use twice_sim::cio::StorageSummary;
 use twice_sim::config::SimConfig;
 use twice_sim::experiments::{
     ablation, capacity, ecc, fig7, latency, storage, table1, table2, table3, table4,
 };
+use twice_sim::grid::Supervision;
 use twice_sim::parallel::default_jobs;
 use twice_sim::runner::WorkloadKind;
 use twice_sim::verify::confront;
@@ -233,7 +235,13 @@ fn parse_args() -> Result<Option<Args>, CliError> {
             "--seed" => out.seed = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?),
             "--resume" => out.resume = Some(PathBuf::from(flag_value(&mut args, &flag)?)),
             "--journal" => out.journal = Some(PathBuf::from(flag_value(&mut args, &flag)?)),
-            "--epoch" => out.epoch = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?),
+            "--epoch" => {
+                let epoch: u64 = parse_number(&flag, &flag_value(&mut args, &flag)?)?;
+                if epoch == 0 {
+                    return Err(CliError::bad_flag("-", "--epoch must be at least 1"));
+                }
+                out.epoch = Some(epoch);
+            }
             "--halt-after" => {
                 out.halt_after = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
             }
@@ -441,6 +449,67 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_UNKNOWN_NAME)
 }
 
+/// The supervision knobs `chaos`, `fleet` and `redteam` share, filled
+/// from `--journal`/`--resume`, `--jobs`, `--retries`, `--backoff-ms`,
+/// `--storage-faults`, `--halt-after` and the two budget flags. The
+/// `--resume` directory must exist and excludes `--journal`.
+fn supervision(args: &Args, experiment: &str) -> Result<Supervision, CliError> {
+    let mut sup = Supervision {
+        dir: args.journal.clone(),
+        jobs: args.jobs(),
+        halt_after: args.halt_after,
+        wall_budget_ms: args.wall_budget_ms,
+        sim_budget_ps: args.sim_budget_ps,
+        ..Supervision::default()
+    };
+    if let Some(dir) = &args.resume {
+        if args.journal.is_some() {
+            return Err(CliError::bad_flag(
+                experiment,
+                "--resume and --journal are mutually exclusive (resume implies the journal directory)",
+            ));
+        }
+        if !dir.is_dir() {
+            return Err(CliError::bad_flag(
+                experiment,
+                format!("--resume directory {} does not exist", dir.display()),
+            ));
+        }
+        sup.dir = Some(dir.clone());
+        sup.resume = true;
+    }
+    if let Some(retries) = args.retries {
+        sup.retries = retries;
+    }
+    if let Some(backoff) = args.backoff_ms {
+        sup.backoff_ms = backoff;
+    }
+    if let Some(seed) = args.storage_faults {
+        sup.io = Arc::new(twice_sim::cio::FaultyIo::with_default_plan(seed));
+    }
+    Ok(sup)
+}
+
+/// The stderr notes of a resumed or self-healed run: how many `what`s
+/// came from the journal, and the storage recovery ledger.
+fn recovery_notes(what: &str, salvaged: usize, storage: &StorageSummary) {
+    if salvaged > 0 {
+        eprintln!("twice-exp: resumed: {salvaged} journaled {what}(s) salvaged");
+    }
+    if storage.is_degraded() {
+        eprintln!("twice-exp: storage recovery: {storage}");
+    }
+}
+
+/// The `--halt-after` exit: 75, with a note on how to continue.
+fn halted(what: &str, accounted: usize) -> ExitCode {
+    eprintln!(
+        "twice-exp: halted by --halt-after with {accounted} {what}(s) accounted; \
+         rerun with --resume to continue"
+    );
+    ExitCode::from(EXIT_HALTED)
+}
+
 fn run_chaos(args: &Args) -> Result<ExitCode, CliError> {
     let mut cfg = SimConfig::fast_test();
     if let Some(seed) = args.seed {
@@ -448,69 +517,23 @@ fn run_chaos(args: &Args) -> Result<ExitCode, CliError> {
     }
     let mut cc = CampaignConfig::new(args.requests.unwrap_or(60_000));
     if let Some(epoch) = args.epoch {
-        if epoch == 0 {
-            return Err(CliError::bad_flag("chaos", "--epoch must be at least 1"));
-        }
         cc.epoch = epoch;
     }
-    cc.halt_after = args.halt_after;
-    cc.wall_budget_ms = args.wall_budget_ms;
-    cc.sim_budget_ps = args.sim_budget_ps;
-    cc.jobs = args.jobs();
-    if let Some(retries) = args.retries {
-        cc.retries = retries;
-    }
-    if let Some(backoff) = args.backoff_ms {
-        cc.backoff_ms = backoff;
-    }
-    if let Some(seed) = args.storage_faults {
-        cc.io = Arc::new(twice_sim::cio::FaultyIo::with_default_plan(seed));
-    }
-    if args.resume.is_some() && args.journal.is_some() {
-        return Err(CliError::bad_flag(
-            "chaos",
-            "--resume and --journal are mutually exclusive (resume implies the journal directory)",
-        ));
-    }
-    if let Some(dir) = &args.resume {
-        if !dir.is_dir() {
-            return Err(CliError::bad_flag(
-                "chaos",
-                format!("--resume directory {} does not exist", dir.display()),
-            ));
-        }
-        cc.dir = Some(dir.clone());
-        cc.resume = true;
-    } else if let Some(dir) = &args.journal {
-        cc.dir = Some(dir.clone());
-    }
+    cc.sup = supervision(args, "chaos")?;
 
     let report = twice_sim::campaign::chaos_campaign(&cfg, &cc)
         .map_err(|e| CliError::failure("chaos", "-", format!("journal I/O failed: {e}")))?;
 
     // The report goes to stdout and is byte-identical between a clean
     // run and a kill+resume; bookkeeping notes go to stderr.
-    if report.salvaged > 0 {
-        eprintln!(
-            "twice-exp: resumed: {} journaled cell(s) salvaged",
-            report.salvaged
-        );
-    }
-    if report.storage.is_degraded() {
-        eprintln!("twice-exp: storage recovery: {}", report.storage);
-    }
+    recovery_notes("cell", report.salvaged, &report.storage);
     for cell in &report.cells {
         if let Some(line) = cell.outcome.error_line() {
             eprintln!("twice-exp: degraded cell: {line}");
         }
     }
     if report.halted {
-        eprintln!(
-            "twice-exp: halted by --halt-after with {} cell(s) journaled; \
-             rerun with --resume to continue",
-            report.cells.len()
-        );
-        return Ok(ExitCode::from(EXIT_HALTED));
+        return Ok(halted("cell", report.cells.len()));
     }
 
     println!("{}", report.table);
@@ -592,9 +615,6 @@ fn run_fleet(args: &Args) -> Result<ExitCode, CliError> {
     let mut fc = twice_sim::fleet::FleetConfig::new(args.shards.unwrap_or(64));
     fc.requests = args.requests.unwrap_or(2_000);
     if let Some(epoch) = args.epoch {
-        if epoch == 0 {
-            return Err(CliError::bad_flag("fleet", "--epoch must be at least 1"));
-        }
         fc.epoch = epoch;
     }
     if let Some(seed) = args.seed {
@@ -603,70 +623,28 @@ fn run_fleet(args: &Args) -> Result<ExitCode, CliError> {
     fc.attackers = args.attackers.unwrap_or(2);
     fc.device_faults = args.device_faults;
     fc.dead_shards = args.dead_shards.unwrap_or(0);
-    fc.halt_after = args.halt_after;
-    // Dead shards stall on purpose; a default wall budget keeps any
-    // non-deterministic hang from wedging the whole fleet.
-    fc.wall_budget_ms = args.wall_budget_ms.or(Some(30_000));
-    fc.sim_budget_ps = args.sim_budget_ps;
-    fc.jobs = args.jobs();
     if let Some(every) = args.telemetry_every {
         fc.telemetry_every = every;
-    }
-    if let Some(retries) = args.retries {
-        fc.retries = retries;
-    }
-    if let Some(backoff) = args.backoff_ms {
-        fc.backoff_ms = backoff;
-    }
-    if let Some(seed) = args.storage_faults {
-        fc.io = Arc::new(twice_sim::cio::FaultyIo::with_default_plan(seed));
     }
     if let Some(spec) = &args.heartbeat_counters {
         fc.heartbeat = parse_heartbeat(spec)?;
     }
-    if args.resume.is_some() && args.journal.is_some() {
-        return Err(CliError::bad_flag(
-            "fleet",
-            "--resume and --journal are mutually exclusive (resume implies the journal directory)",
-        ));
-    }
-    if let Some(dir) = &args.resume {
-        if !dir.is_dir() {
-            return Err(CliError::bad_flag(
-                "fleet",
-                format!("--resume directory {} does not exist", dir.display()),
-            ));
-        }
-        fc.dir = Some(dir.clone());
-        fc.resume = true;
-    } else if let Some(dir) = &args.journal {
-        fc.dir = Some(dir.clone());
-    }
+    fc.sup = supervision(args, "fleet")?;
+    // Dead shards stall on purpose; a default wall budget keeps any
+    // non-deterministic hang from wedging the whole fleet.
+    fc.wall_budget_ms.get_or_insert(30_000);
 
     let report = twice_sim::fleet::run_fleet(&fc)
         .map_err(|e| CliError::failure("fleet", "-", format!("fleet I/O failed: {e}")))?;
 
-    if report.salvaged > 0 {
-        eprintln!(
-            "twice-exp: resumed: {} journaled shard(s) salvaged",
-            report.salvaged
-        );
-    }
-    if report.storage.is_degraded() {
-        eprintln!("twice-exp: storage recovery: {}", report.storage);
-    }
+    recovery_notes("shard", report.salvaged, &report.storage);
     for shard in &report.shards {
         if let Err(e) = &shard.result {
             eprintln!("twice-exp: quarantined shard {}: {e}", shard.index);
         }
     }
     if report.halted {
-        eprintln!(
-            "twice-exp: halted by --halt-after with {} shard(s) accounted; \
-             rerun with --resume to continue",
-            report.shards.len()
-        );
-        return Ok(ExitCode::from(EXIT_HALTED));
+        return Ok(halted("shard", report.shards.len()));
     }
     println!("{}", report.summary);
     for row in &report.telemetry {
@@ -706,9 +684,6 @@ fn run_profile(args: &Args) -> Result<ExitCode, CliError> {
             format!("unknown workload \"{workload_name}\""),
         ));
     };
-    if args.epoch == Some(0) {
-        return Err(CliError::bad_flag("profile", "--epoch must be at least 1"));
-    }
     let mut cfg = SimConfig::fast_test();
     if let Some(seed) = args.seed {
         cfg.seed = seed;
@@ -963,24 +938,15 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
         if let Some(seed) = args.seed {
             cfg.seed = seed;
         }
-        let io: Arc<dyn twice_sim::cio::CampaignIo> = match args.storage_faults {
-            Some(seed) => Arc::new(twice_sim::cio::FaultyIo::with_default_plan(seed)),
-            None => Arc::new(twice_sim::cio::RealIo),
-        };
-        let report = redteam::verify_corpus(
-            &cfg,
-            &io,
-            corpus_dir,
-            args.retries.unwrap_or(3),
-            args.backoff_ms.unwrap_or(0),
-        )
-        .map_err(|e| {
-            if e.contains(CORPUS_MANIFEST) {
-                CliError::unusable("redteam verify", e)
-            } else {
-                CliError::failure("redteam verify", "-", e)
-            }
-        })?;
+        let sup = supervision(args, "redteam verify")?;
+        let report = redteam::verify_corpus(&cfg, &sup.io, corpus_dir, sup.retries, sup.backoff_ms)
+            .map_err(|e| {
+                if e.contains(CORPUS_MANIFEST) {
+                    CliError::unusable("redteam verify", e)
+                } else {
+                    CliError::failure("redteam verify", "-", e)
+                }
+            })?;
         for finding in &report.findings {
             println!("finding: {finding}");
         }
@@ -1007,26 +973,12 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
     }
     let name = args.defense.as_deref().unwrap_or("twice");
     let defense = parse_defense("redteam", name)?;
-    if args.resume.is_some() && args.journal.is_some() {
-        return Err(CliError::bad_flag(
-            "redteam",
-            "--resume and --journal are mutually exclusive (resume implies the journal directory)",
-        ));
-    }
-    let dir = if let Some(d) = &args.resume {
-        if !d.is_dir() {
-            return Err(CliError::bad_flag(
-                "redteam",
-                format!("--resume directory {} does not exist", d.display()),
-            ));
-        }
-        d.clone()
-    } else {
-        args.journal
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("redteam-out"))
-    };
-    let mut rc = RedteamConfig::new(cfg, defense, dir);
+    let mut rc = RedteamConfig::new(cfg, defense, PathBuf::new());
+    rc.sup = supervision(args, "redteam")?;
+    let dir = rc
+        .dir
+        .get_or_insert_with(|| PathBuf::from("redteam-out"))
+        .clone();
     if let Some(p) = args.population {
         rc.population = p;
     }
@@ -1037,25 +989,9 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
         rc.requests = r;
     }
     if let Some(e) = args.epoch {
-        if e == 0 {
-            return Err(CliError::bad_flag("redteam", "--epoch must be at least 1"));
-        }
         rc.epoch = e;
     }
-    rc.wall_budget_ms = args.wall_budget_ms.unwrap_or(0);
-    rc.sim_budget_ps = args.sim_budget_ps.unwrap_or(0);
-    rc.jobs = args.jobs();
-    if let Some(r) = args.retries {
-        rc.retries = r;
-    }
-    if let Some(b) = args.backoff_ms {
-        rc.backoff_ms = b;
-    }
     rc.sabotage = args.sabotage.unwrap_or(0);
-    rc.halt_after = args.halt_after.map(|n| n as u64);
-    if let Some(seed) = args.storage_faults {
-        rc.io = Arc::new(twice_sim::cio::FaultyIo::with_default_plan(seed));
-    }
 
     let outcome = redteam::redteam_search(&rc).map_err(|e| {
         if e.contains("different campaign") {
@@ -1069,7 +1005,7 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
             eprintln!(
                 "twice-exp: redteam halted after {evals_live} live evaluation(s); \
                  rerun with --resume {} to continue",
-                rc.dir.display()
+                dir.display()
             );
             return Ok(ExitCode::from(EXIT_HALTED));
         }
@@ -1095,6 +1031,16 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
         report.journal_dropped,
         report.journal_corrupt
     );
+    if report.journal_corrupt > 0 {
+        // The stdout line above stays stable for diffing; this says what
+        // its last count means.
+        eprintln!(
+            "twice-exp: journal salvage: {} corrupt line(s) salvaged and dropped to {}; \
+             their evaluations re-ran",
+            report.journal_corrupt,
+            dir.join(twice_sim::grid::JOURNAL_CORRUPT_FILE).display()
+        );
+    }
     if let Some((genome, best)) = report.best.first() {
         println!(
             "champion: {} (fitness {}, {} flip(s), stealth peak {}, near-miss {}permille) {}",

@@ -1,132 +1,64 @@
 //! The supervised, crash-safe chaos campaign.
 //!
-//! Every grid cell runs under `catch_unwind` with a cooperative deadline
-//! — host wall-clock and simulated-time budgets checked at epoch
-//! boundaries — so a panicking, hanging, or over-budget cell degrades to
-//! a structured [`Cell`] outcome instead of aborting the campaign. With
-//! a campaign directory configured, completed cells are appended to a
-//! JSONL journal (`cells.jsonl`) and the in-flight cell checkpoints its
-//! full simulator state every epoch (`cell.ckpt`), so a killed process
-//! loses nothing: rerunning with the same directory skips journaled
-//! cells and salvages the partial cell from its last checkpoint.
+//! The chaos fault grid ([`chaos::fault_grid`], each plan against the
+//! hardened and the unhardened engine) runs on the [`crate::grid`]
+//! runner, which owns sweeps, journal salvage, the pooled cell loop,
+//! supervision and the checkpointed epoch loop. What stays here is the
+//! grid and the outcome codec of the journal (`cells.jsonl`).
 //!
-//! With `jobs > 1` the grid cells shard across a fixed-size
-//! [`crate::parallel`] worker pool. Each worker owns its cell's
-//! engine/DRAM/workload state end-to-end; journal lines funnel through a
-//! mutex-guarded [`OrderedJournalWriter`] that restores grid order, and
-//! each in-flight cell checkpoints to its own `cell-NN.ckpt` (still
-//! wrapped with the owning cell id). Results are collected back in grid
-//! order, so the final report, the journal bytes, and every per-cell
-//! digest are byte-identical to the serial run — the contract DESIGN.md
-//! §5e spells out and `crates/sim/tests/parallel_equivalence.rs`
-//! enforces.
+//! Chaos cells are deterministic, so only I/O failures are retried
+//! ([`Retry::IoOnly`]): a panicking or over-budget cell becomes an error
+//! row at once, a cell whose storage keeps failing is quarantined. The
+//! report, the journal bytes and every per-cell digest are identical
+//! across worker counts and across kill + resume (DESIGN.md §5e,
+//! `crates/sim/tests/parallel_equivalence.rs`).
 
-use crate::checkpoint::{
-    cell_checkpoint_path, read_cell_checkpoint, write_cell_checkpoint, CheckpointRead, ResumableRun,
-};
-use crate::cio::{with_retries, CampaignIo, RealIo, StorageEvents, StorageSummary};
+use crate::checkpoint::ResumableRun;
+use crate::cio::StorageSummary;
 use crate::config::SimConfig;
 use crate::experiments::chaos::{self, ChaosOutcome};
-use crate::journal::{
-    emit_line, parse_line, seal_line, unseal_line, JsonValue, OrderedJournalWriter,
-};
+use crate::grid::{deref_to_supervision, Attempt, Grid, Supervision};
+use crate::journal::{emit_line, parse_line, seal_line, unseal_line, JsonValue};
 use crate::metrics::CampaignTotals;
 use crate::outcome::{Cell, CellError};
-use crate::parallel::parallel_map;
 use crate::report::Table;
 use crate::runner::WorkloadKind;
+use crate::supervisor::Retry;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 use twice_common::fault::FaultPlan;
 use twice_mitigations::DefenseKind;
 
 /// The journal file name inside a campaign directory.
 pub const JOURNAL_FILE: &str = "cells.jsonl";
 
-/// Where journal salvage moves the unparseable suffix it truncated, so
-/// a corrupt tail is preserved for forensics instead of silently lost.
-pub const JOURNAL_CORRUPT_FILE: &str = "journal.corrupt";
-
-/// The in-flight cell's checkpoint file name. The blob is wrapped with
-/// the owning cell's id: a checkpoint left behind by one cell can never
-/// be adopted by a different cell of the grid. Parallel workers write
-/// per-cell `cell-NN.ckpt` files instead (see
-/// [`crate::checkpoint::cell_checkpoint_path`]) but still *adopt* this
-/// shared file when a previous serial run left one behind.
-pub const CHECKPOINT_FILE: &str = "cell.ckpt";
-
-/// Supervision knobs for a campaign.
+/// A chaos campaign: the grid shape plus the shared supervision knobs,
+/// which it derefs to (`cc.jobs`, `cc.dir`, …).
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Requests per cell.
     pub requests: u64,
     /// Requests per epoch (checkpoint/watchdog granularity).
     pub epoch: u64,
-    /// Per-cell host wall-clock budget, checked at epoch boundaries.
-    pub wall_budget_ms: Option<u64>,
-    /// Per-cell simulated-time budget (ps), checked at epoch boundaries.
-    pub sim_budget_ps: Option<u64>,
-    /// Crash simulation: stop the campaign (exit early, journal intact)
-    /// after this many freshly completed cells.
-    pub halt_after: Option<usize>,
-    /// Campaign directory for the journal and epoch checkpoints; `None`
-    /// runs fully in memory.
-    pub dir: Option<PathBuf>,
-    /// Worker threads for the grid; `1` is the plain serial loop.
-    pub jobs: usize,
     /// The defense every cell runs (the chaos default is the paper's
     /// fully-associative TWiCe).
     pub defense: DefenseKind,
-    /// Whether this run resumes an earlier campaign in `dir`. A fresh
-    /// run (`false`) sweeps stale `*.ckpt` files at start so leftovers
-    /// from a killed run can never be confused with live state; a
-    /// resume keeps them, because the in-flight cell's checkpoint *is*
-    /// the live state being salvaged. Orphaned `*.tmp` files are swept
-    /// either way.
-    pub resume: bool,
-    /// Attempts per cell before an I/O-failing cell is quarantined
-    /// (1 = no retry). Non-I/O failures — panics, watchdogs — are
-    /// deterministic and are never retried.
-    pub retries: u32,
-    /// Linear backoff between attempts, in milliseconds (per-cell retry
-    /// and per-operation journal/salvage retries both scale from this).
-    pub backoff_ms: u64,
-    /// The storage layer every journal/checkpoint byte flows through.
-    /// [`RealIo`] in production; a fault-injecting
-    /// [`FaultyIo`](crate::cio::FaultyIo) under storage chaos.
-    pub io: Arc<dyn CampaignIo>,
+    /// Directory, workers, retries, budgets, halt, storage layer.
+    pub sup: Supervision,
 }
+
+deref_to_supervision!(CampaignConfig);
 
 impl CampaignConfig {
     /// A plain in-memory campaign: `requests` per cell, 4096-request
-    /// epochs, no budgets, no journaling, serial execution, real I/O,
-    /// up to 3 attempts per I/O-failing cell.
+    /// epochs, the default [`Supervision`] (one worker, real I/O, up to
+    /// 3 attempts per I/O-failing cell, no budgets).
     pub fn new(requests: u64) -> CampaignConfig {
         CampaignConfig {
             requests,
             epoch: 4096,
-            wall_budget_ms: None,
-            sim_budget_ps: None,
-            halt_after: None,
-            dir: None,
-            jobs: 1,
             defense: chaos::chaos_defense(),
-            resume: false,
-            retries: 3,
-            backoff_ms: 0,
-            io: Arc::new(RealIo),
+            sup: Supervision::default(),
         }
-    }
-
-    /// Per-operation retry budget for journal appends and salvage
-    /// writes (smaller than the per-cell budget: an operation that
-    /// fails this often is better handled by failing the cell).
-    fn op_retries(&self) -> u32 {
-        self.retries.clamp(1, 3)
     }
 }
 
@@ -192,8 +124,7 @@ fn grid_specs(cfg_base: &SimConfig) -> Vec<CellSpec> {
     specs
 }
 
-/// Runs the chaos fault grid under supervision, serially (`jobs <= 1`)
-/// or across a worker pool with the serial run's exact outputs.
+/// Runs the chaos fault grid under supervision on `cc.jobs` workers.
 ///
 /// Storage faults do not abort the campaign: corrupt journals are
 /// salvaged, corrupt checkpoints recomputed, I/O-failing cells retried
@@ -208,53 +139,28 @@ pub fn chaos_campaign(
     cfg_base: &SimConfig,
     cc: &CampaignConfig,
 ) -> std::io::Result<CampaignReport> {
-    let io = cc.io.as_ref();
-    let events = StorageEvents::default();
-    if let Some(dir) = &cc.dir {
-        io.create_dir_all(dir)?;
-        sweep_stale_files(io, dir, cc.resume, &events);
-    }
-    let journal_path = cc.dir.as_ref().map(|d| d.join(JOURNAL_FILE));
-    let ckpt_path = cc.dir.as_ref().map(|d| d.join(CHECKPOINT_FILE));
-    let journaled = match &journal_path {
-        Some(p) => load_journal(io, p, cc, &events)?,
-        None => HashMap::new(),
-    };
-
+    let (grid, lines) = Grid::open(&cc.sup, JOURNAL_FILE, parse_journal_line)?;
+    let journaled: HashMap<String, ChaosOutcome> = lines.into_iter().collect();
     let specs = grid_specs(cfg_base);
-    let (cells, halted) = if cc.jobs <= 1 {
-        serial_grid(
-            cfg_base,
-            cc,
-            &specs,
-            &journaled,
-            journal_path.as_deref(),
-            ckpt_path.as_deref(),
-            &events,
-        )
-    } else {
-        parallel_grid(
-            cfg_base,
-            cc,
-            &specs,
-            &journaled,
-            journal_path.as_deref(),
-            ckpt_path.as_deref(),
-            &events,
-        )
-    };
-
-    if !halted {
-        if let Some(dir) = &cc.dir {
-            // A fully swept grid leaves no epoch checkpoint behind —
-            // neither the serial shared file nor any parallel per-cell
-            // file (including strays from an earlier killed run).
-            let _ = io.remove_file(&dir.join(CHECKPOINT_FILE));
-            for i in 0..specs.len() {
-                let _ = io.remove_file(&cell_checkpoint_path(dir, i));
-            }
-        }
-    }
+    let done = grid.run(
+        &specs,
+        Retry::IoOnly,
+        |spec| journaled.get(&spec.id).cloned(),
+        |attempt, spec| attempt_cell(attempt, cfg_base, spec, cc),
+        |spec, o| journal_line(&spec.id, o),
+        |_, _| {},
+    );
+    let cells: Vec<CampaignCell> = done
+        .into_iter()
+        .map(|done| CampaignCell {
+            outcome: Cell {
+                experiment: "chaos",
+                cell: specs[done.index].id.clone(),
+                result: done.result,
+            },
+            salvaged: done.salvaged,
+        })
+        .collect();
 
     let salvaged = cells.iter().filter(|c| c.salvaged).count();
     let mut hardened = CampaignTotals::default();
@@ -273,356 +179,35 @@ pub fn chaos_campaign(
     Ok(CampaignReport {
         table,
         cells,
-        halted,
+        halted: grid.halted(),
         salvaged,
         hardened,
         unhardened,
-        storage: events.summary(),
+        storage: grid.storage(),
     })
 }
 
-/// Start-of-campaign hygiene. Orphaned `*.tmp` files — a failed rename,
-/// or a kill between temp-write and rename — are removed always: no
-/// reader ever trusts them. Stale `*.ckpt` files are removed only on a
-/// *fresh* run: a resume's checkpoint is the live state being salvaged,
-/// but a fresh campaign adopting a previous run's leftover would be
-/// recovery where none was asked for.
-pub(crate) fn sweep_stale_files(
-    io: &dyn CampaignIo,
-    dir: &Path,
-    resume: bool,
-    events: &StorageEvents,
-) {
-    let Ok(entries) = io.list_dir(dir) else {
-        return;
-    };
-    for path in entries {
-        let stale = match path.extension().and_then(|e| e.to_str()) {
-            Some("tmp") => true,
-            Some("ckpt") => !resume,
-            _ => false,
-        };
-        if stale && io.remove_file(&path).is_ok() {
-            StorageEvents::bump(&events.swept_orphans);
-        }
-    }
-}
-
-/// Today's strictly serial loop: one cell at a time in grid order, the
-/// shared `cell.ckpt` for epoch checkpoints, journal lines appended the
-/// moment each cell completes. `--jobs 1` must preserve this behavior
-/// bit for bit, so this path stays structurally untouched.
-fn serial_grid(
-    cfg_base: &SimConfig,
-    cc: &CampaignConfig,
-    specs: &[CellSpec],
-    journaled: &HashMap<String, ChaosOutcome>,
-    journal_path: Option<&Path>,
-    ckpt_path: Option<&Path>,
-    events: &StorageEvents,
-) -> (Vec<CampaignCell>, bool) {
-    let io = cc.io.as_ref();
-    let mut cells = Vec::new();
-    let mut fresh_completed = 0usize;
-    for spec in specs {
-        if let Some(o) = journaled.get(&spec.id) {
-            cells.push(CampaignCell {
-                outcome: Cell::ok("chaos", spec.id.clone(), o.clone()),
-                salvaged: true,
-            });
-            continue;
-        }
-        let outcome = run_cell_supervised(cfg_base, spec, cc, ckpt_path, ckpt_path, events);
-        // The cell is over — completed, panicked, or timed out — so
-        // its epoch checkpoint is stale. Remove it unconditionally:
-        // a failed cell's last checkpoint must never linger where the
-        // next cell (or a later --resume) could find it. The cell-id
-        // check in `read_cell_checkpoint` is the second line of
-        // defense for checkpoints orphaned by a process kill.
-        if let Some(p) = ckpt_path {
-            let _ = io.remove_file(p);
-        }
-        if let (Some(path), Ok(o)) = (journal_path, &outcome.result) {
-            // A journal line that cannot be appended after retries is
-            // dropped, not fatal: the cell's outcome still reaches this
-            // run's report, and the cell simply reruns on `--resume`.
-            let line = journal_line(&outcome.cell, o);
-            let _io_span = twice_obs::span(twice_obs::SpanId::SimJournalIo);
-            twice_obs::bump(twice_obs::Ctr::SimJournalAppends);
-            let wrote = with_retries(cc.op_retries(), cc.backoff_ms, || {
-                io.append_line(path, &line)
-            });
-            if wrote.is_err() {
-                StorageEvents::bump(&events.journal_write_failures);
-            }
-        }
-        let completed_now = outcome.result.is_ok();
-        cells.push(CampaignCell {
-            outcome,
-            salvaged: false,
-        });
-        if completed_now {
-            fresh_completed += 1;
-            if cc.halt_after.is_some_and(|h| fresh_completed >= h) {
-                return (cells, true);
-            }
-        }
-    }
-    (cells, false)
-}
-
-/// The sharded grid: `cc.jobs` workers claim cells from an atomic
-/// cursor. Every cell submits its index to the [`OrderedJournalWriter`]
-/// exactly once (salvaged and failed cells submit a skip marker), which
-/// is what lets the journal bytes come out identical to the serial
-/// append loop. Fresh-completion counting for `halt_after` goes through
-/// an atomic; once it trips, unclaimed cells are skipped and whatever
-/// finished out of order is flushed to the journal as stragglers.
-fn parallel_grid(
-    cfg_base: &SimConfig,
-    cc: &CampaignConfig,
-    specs: &[CellSpec],
-    journaled: &HashMap<String, ChaosOutcome>,
-    journal_path: Option<&Path>,
-    shared_ckpt: Option<&Path>,
-    events: &StorageEvents,
-) -> (Vec<CampaignCell>, bool) {
-    let writer = journal_path.map(|p| {
-        OrderedJournalWriter::new(
-            cc.io.clone(),
-            p.to_path_buf(),
-            cc.op_retries(),
-            cc.backoff_ms,
-        )
-    });
-    let fresh = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let results: Vec<Option<CampaignCell>> = parallel_map(cc.jobs, specs, |index, spec| {
-        if let Some(o) = journaled.get(&spec.id) {
-            if let Some(w) = &writer {
-                // Already journaled: nothing to append, but the
-                // index must be accounted for or the ordered writer
-                // would stall behind it forever.
-                w.submit(index, None);
-            }
-            return Some(CampaignCell {
-                outcome: Cell::ok("chaos", spec.id.clone(), o.clone()),
-                salvaged: true,
-            });
-        }
-        if stop.load(Ordering::SeqCst) {
-            return None;
-        }
-        let own_ckpt = cc.dir.as_ref().map(|d| cell_checkpoint_path(d, index));
-        let outcome =
-            run_cell_supervised(cfg_base, spec, cc, own_ckpt.as_deref(), shared_ckpt, events);
-        if let Some(p) = &own_ckpt {
-            let _ = cc.io.remove_file(p);
-        }
-        if let Some(p) = shared_ckpt {
-            // Consume a serial-era shared checkpoint that belonged
-            // to this cell; other cells' files are left for their
-            // owners (the id check keeps them from being adopted),
-            // and a corrupt blob is left for the fresh-run sweep — a
-            // transient read fault must not delete live state.
-            if matches!(
-                read_cell_checkpoint(cc.io.as_ref(), p, &spec.id),
-                CheckpointRead::Valid(_)
-            ) {
-                let _ = cc.io.remove_file(p);
-            }
-        }
-        let line = outcome
-            .result
-            .as_ref()
-            .ok()
-            .map(|o| journal_line(&outcome.cell, o));
-        if let Some(w) = &writer {
-            w.submit(index, line);
-        }
-        if outcome.result.is_ok() {
-            let n = fresh.fetch_add(1, Ordering::SeqCst) + 1;
-            if cc.halt_after.is_some_and(|h| n >= h) {
-                stop.store(true, Ordering::SeqCst);
-            }
-        }
-        Some(CampaignCell {
-            outcome,
-            salvaged: false,
-        })
-    });
-    let halted = stop.load(Ordering::SeqCst);
-    let cells = results.into_iter().flatten().collect();
-    if halted {
-        if let Some(w) = &writer {
-            w.flush_stragglers();
-        }
-    }
-    if let Some(w) = &writer {
-        StorageEvents::add(&events.journal_write_failures, w.dropped());
-    }
-    (cells, halted)
-}
-
-/// Runs one cell with bounded retry: an I/O-failing cell (a checkpoint
-/// write that kept failing after per-operation retries) is rerun up to
-/// `cc.retries` times with linear backoff, then **quarantined** — the
-/// campaign completes in degraded mode with a typed
-/// [`CellError::Quarantined`] row instead of aborting. Non-I/O failures
-/// (panics, watchdogs, bad configs) are deterministic; retrying them
-/// would just repeat the failure, so they pass straight through.
-fn run_cell_supervised(
+/// One attempt at one cell: the S3 hammer under the cell's fault plan.
+/// An exhausted controller retry budget is chaos data, not a cell
+/// failure: it is recorded and the partial metrics reported.
+fn attempt_cell(
+    attempt: &Attempt<'_>,
     cfg_base: &SimConfig,
     spec: &CellSpec,
     cc: &CampaignConfig,
-    ckpt: Option<&Path>,
-    adopt: Option<&Path>,
-    events: &StorageEvents,
-) -> Cell<ChaosOutcome> {
-    let max_attempts = cc.retries.max(1);
-    let mut attempt: u32 = 1;
-    loop {
-        let cell = run_cell(cfg_base, spec, cc, ckpt, adopt, events);
-        let cause = match &cell.result {
-            Err(CellError::Io(why)) => why.clone(),
-            _ => return cell,
-        };
-        if attempt >= max_attempts {
-            StorageEvents::bump(&events.quarantined_cells);
-            return Cell::err(
-                "chaos",
-                spec.id.clone(),
-                CellError::Quarantined {
-                    attempts: attempt,
-                    cause,
-                },
-            );
-        }
-        if attempt == 1 {
-            StorageEvents::bump(&events.retried_cells);
-        }
-        if cc.backoff_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(
-                cc.backoff_ms.saturating_mul(u64::from(attempt)),
-            ));
-        }
-        attempt += 1;
-    }
-}
-
-fn run_cell(
-    cfg_base: &SimConfig,
-    spec: &CellSpec,
-    cc: &CampaignConfig,
-    ckpt: Option<&Path>,
-    adopt: Option<&Path>,
-    events: &StorageEvents,
-) -> Cell<ChaosOutcome> {
-    let body = catch_unwind(AssertUnwindSafe(|| {
-        cell_body(cfg_base, spec, cc, ckpt, adopt, events)
-    }));
-    match body {
-        Ok(Ok(o)) => Cell::ok("chaos", spec.id.clone(), o),
-        Ok(Err(e)) => Cell::err("chaos", spec.id.clone(), e),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Cell::err("chaos", spec.id.clone(), CellError::Panicked(msg))
-        }
-    }
-}
-
-fn cell_body(
-    cfg_base: &SimConfig,
-    spec: &CellSpec,
-    cc: &CampaignConfig,
-    ckpt: Option<&Path>,
-    adopt: Option<&Path>,
-    events: &StorageEvents,
 ) -> Result<ChaosOutcome, CellError> {
-    let io = cc.io.as_ref();
     let cfg = chaos::cell_config(cfg_base, spec.plan.clone(), spec.scrubbing);
-    let workload = WorkloadKind::S3;
-    let defense = cc.defense;
-    // Salvage the in-flight cell from its last epoch checkpoint: first
-    // this cell's own file, then the shared serial-era file. A blob
-    // that fails its checksum, is owned by a different grid cell, or
-    // does not reconstruct its digest is rejected — the cell recomputes
-    // from scratch, and every corrupt rejection is counted on the
-    // recovery ledger rather than silently absorbed.
-    let read_blob = |p: &Path| match read_cell_checkpoint(io, p, &spec.id) {
-        CheckpointRead::Valid(blob) => Some(blob),
-        CheckpointRead::Corrupt(_) => {
-            StorageEvents::bump(&events.corrupt_checkpoints);
-            None
-        }
-        CheckpointRead::Absent | CheckpointRead::Foreign => None,
-    };
-    let restored = ckpt
-        .and_then(read_blob)
-        .or_else(|| adopt.filter(|a| Some(*a) != ckpt).and_then(read_blob))
-        .and_then(|blob| {
-            match ResumableRun::restore(&cfg, &workload, defense, cc.requests, &blob) {
-                Ok(r) => Some(r),
-                Err(_) => {
-                    // The wrapper checksum passed but the inner state
-                    // failed to reconstruct (torn inside the run blob,
-                    // or a digest mismatch): still a corrupt checkpoint.
-                    StorageEvents::bump(&events.corrupt_checkpoints);
-                    None
-                }
-            }
-        });
-    let mut run = match restored {
-        Some(r) => r,
-        None => ResumableRun::new(&cfg, &workload, defense, cc.requests)?,
-    };
-    let start = Instant::now();
-    let mut retry_exhausted = false;
-    while !run.is_complete() {
-        // An exhausted retry budget is chaos data, not a cell failure:
-        // record it and report the partial metrics, like the monolithic
-        // runner did.
-        if run.run_epoch(cc.epoch.max(1)).is_err() {
-            retry_exhausted = true;
-            break;
-        }
-        if let Some(p) = ckpt {
-            // Per-operation retries absorb transient write faults; a
-            // write that keeps failing fails the cell with an I/O error,
-            // which the supervisor treats as retryable (and, past the
-            // budget, quarantines).
-            with_retries(cc.op_retries(), cc.backoff_ms, || {
-                write_cell_checkpoint(io, p, &spec.id, &run)
-            })
-            .map_err(|e| CellError::Io(e.to_string()))?;
-        }
-        if let Some(ms) = cc.wall_budget_ms {
-            let elapsed = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            if elapsed > ms {
-                return Err(CellError::WallClockExceeded {
-                    budget_ms: ms,
-                    done: run.requests_done(),
-                });
-            }
-        }
-        if let Some(ps) = cc.sim_budget_ps {
-            if run.system().sim_time().as_ps() > ps {
-                return Err(CellError::SimTimeExceeded {
-                    budget_ps: ps,
-                    done: run.requests_done(),
-                });
-            }
-        }
-    }
+    let (run, exhausted) = attempt.run_epochs(
+        &spec.id,
+        cc.epoch,
+        || ResumableRun::new(&cfg, &WorkloadKind::S3, cc.defense, cc.requests),
+        |_| Ok(()),
+    )?;
     Ok(chaos::collect_outcome(
         run.system(),
         &spec.label,
         spec.scrubbing,
-        retry_exhausted,
+        exhausted.is_some(),
         run.digest(),
     ))
 }
@@ -642,75 +227,6 @@ fn journal_line(id: &str, o: &ChaosOutcome) -> String {
         ("bit_flips", JsonValue::U64(o.bit_flips as u64)),
         ("digest", JsonValue::U64(o.digest)),
     ]))
-}
-
-/// Loads journaled cell outcomes, salvaging the journal when its tail
-/// is corrupt. Every line must parse *and* pass its CRC seal; the first
-/// line that does not ends the trusted prefix. The journal is truncated
-/// to that prefix and the corrupt suffix moved to
-/// [`JOURNAL_CORRUPT_FILE`] for forensics, so the cells whose lines
-/// were lost simply rerun — torn appends, bit-rot, and crash damage all
-/// heal to recomputation, never to trusting a damaged outcome. Loading
-/// is keyed by cell id, never by line position, which is what lets a
-/// halted parallel campaign journal stragglers out of grid order
-/// without confusing a later `--resume`.
-///
-/// # Errors
-///
-/// Only a journal that cannot be read at all (beyond `NotFound`, which
-/// is simply an empty campaign).
-fn load_journal(
-    io: &dyn CampaignIo,
-    path: &Path,
-    cc: &CampaignConfig,
-    events: &StorageEvents,
-) -> std::io::Result<HashMap<String, ChaosOutcome>> {
-    let mut out = HashMap::new();
-    let bytes = match io.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    // The trusted prefix: contiguous complete, sealed, parseable lines
-    // from the start of the file.
-    let mut good_end = 0usize;
-    for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-        if !chunk.ends_with(b"\n") {
-            break; // a torn final append
-        }
-        let Ok(line) = std::str::from_utf8(&chunk[..chunk.len() - 1]) else {
-            break;
-        };
-        if line.trim().is_empty() {
-            good_end += chunk.len();
-            continue;
-        }
-        let Some((id, o)) = parse_journal_line(line) else {
-            break;
-        };
-        out.insert(id, o);
-        good_end += chunk.len();
-    }
-    if good_end < bytes.len() {
-        // Salvage: preserve the corrupt suffix, truncate the journal to
-        // its trusted prefix. Both writes are best-effort with retries —
-        // a failed truncation just means the next load salvages again,
-        // and salvage converges because reruns are deterministic.
-        let suffix = &bytes[good_end..];
-        let dropped = suffix
-            .split(|&b| b == b'\n')
-            .filter(|l| !l.is_empty())
-            .count() as u64;
-        let _ = with_retries(cc.op_retries(), cc.backoff_ms, || {
-            io.write_file(&path.with_file_name(JOURNAL_CORRUPT_FILE), suffix)
-        });
-        let _ = with_retries(cc.op_retries(), cc.backoff_ms, || {
-            io.write_atomically(path, &bytes[..good_end])
-        });
-        StorageEvents::bump(&events.journal_salvages);
-        StorageEvents::add(&events.salvaged_lines_dropped, dropped);
-    }
-    Ok(out)
 }
 
 fn parse_journal_line(line: &str) -> Option<(String, ChaosOutcome)> {
@@ -735,6 +251,12 @@ fn parse_journal_line(line: &str) -> Option<(String, ChaosOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{read_cell_checkpoint, write_cell_checkpoint, CheckpointRead};
+    use crate::cio::{CampaignIo, RealIo, StorageEvents};
+    use crate::grid::checkpoint_path;
+    use std::io;
+    use std::path::{Path, PathBuf};
+    use std::sync::{Arc, Mutex};
 
     fn spec(label: &str, plan: FaultPlan, scrubbing: bool) -> CellSpec {
         CellSpec {
@@ -798,15 +320,13 @@ mod tests {
         let grid = chaos::fault_grid(cfg.seed ^ 0xC4A0);
         let (label, plan) = &grid[0];
         let events = StorageEvents::default();
-        let cell = run_cell(
-            &cfg,
-            &spec(label, plan.clone(), true),
-            &cc,
-            None,
-            None,
-            &events,
-        );
-        match cell.result {
+        let attempt = Attempt {
+            sup: &cc.sup,
+            events: &events,
+            ckpt: None,
+        };
+        let cell = attempt_cell(&attempt, &cfg, &spec(label, plan.clone(), true), &cc);
+        match cell {
             Err(CellError::WallClockExceeded { done, .. }) => {
                 assert!(done >= 128, "at least one epoch ran: {done}");
                 assert!(done < 50_000, "the watchdog must cut the cell short");
@@ -823,7 +343,7 @@ mod tests {
         run.run_epoch(512).expect("fault-free");
         let dir = std::env::temp_dir().join(format!("twice-ckpt-owner-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(CHECKPOINT_FILE);
+        let path = checkpoint_path(&dir, 0);
         let io = RealIo;
         write_cell_checkpoint(&io, &path, "seu x1/hardened", &run).expect("write");
         // The owner reads its checkpoint back; every other cell — even
@@ -846,14 +366,13 @@ mod tests {
 
     #[test]
     fn failed_cells_leave_no_checkpoint_for_the_next_cell() {
-        // Every cell dies at its first epoch boundary via a watchdog,
-        // having just written an epoch checkpoint. Each subsequent cell
-        // must start from request 0 — `done` stuck at exactly one epoch
-        // proves no cell adopted a predecessor's checkpoint (which would
-        // resume at 2, 3, … epochs). Both budgets are armed: the
-        // wall-clock one is the scenario under test, the sim-time one
-        // guarantees the kill lands at the *first* boundary even when an
-        // epoch finishes in under a millisecond.
+        // Every cell dies at its first epoch boundary via a watchdog.
+        // Each subsequent cell must start from request 0 — `done` stuck
+        // at exactly one epoch proves no cell adopted a predecessor's
+        // state (which would resume at 2, 3, … epochs). Both budgets are
+        // armed; the sim-time one, which fires first, guarantees the kill
+        // lands at the *first* boundary even when an epoch finishes in
+        // under a millisecond.
         let cfg = SimConfig::fast_test();
         let dir = std::env::temp_dir().join(format!("twice-stale-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -879,7 +398,7 @@ mod tests {
             }
         }
         assert!(
-            !dir.join(CHECKPOINT_FILE).exists(),
+            (0..report.cells.len()).all(|i| !checkpoint_path(&dir, i).exists()),
             "a finished campaign must not leave a stale checkpoint behind"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -894,18 +413,15 @@ mod tests {
         let grid = chaos::fault_grid(cfg.seed ^ 0xC4A0);
         let (label, plan) = &grid[0];
         let events = StorageEvents::default();
-        let cell = run_cell(
-            &cfg,
-            &spec(label, plan.clone(), false),
-            &cc,
-            None,
-            None,
-            &events,
-        );
+        let attempt = Attempt {
+            sup: &cc.sup,
+            events: &events,
+            ckpt: None,
+        };
+        let cell = attempt_cell(&attempt, &cfg, &spec(label, plan.clone(), false), &cc);
         assert!(
-            matches!(cell.result, Err(CellError::SimTimeExceeded { .. })),
-            "{:?}",
-            cell.result
+            matches!(cell, Err(CellError::SimTimeExceeded { .. })),
+            "{cell:?}"
         );
     }
 
@@ -928,5 +444,75 @@ mod tests {
             report.cells.len() as u64
         );
         assert_eq!(report.hardened.bit_flips, 0, "hardened cells stay safe");
+    }
+
+    /// Real storage that records the path of every atomic write.
+    #[derive(Debug, Default)]
+    struct RecordingIo {
+        writes: Mutex<Vec<PathBuf>>,
+    }
+
+    impl CampaignIo for RecordingIo {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(dir)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealIo.read(path)
+        }
+        fn write_atomically(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.writes.lock().unwrap().push(path.to_path_buf());
+            RealIo.write_atomically(path, bytes)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            RealIo.write_file(path, bytes)
+        }
+        fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
+            RealIo.append_line(path, line)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealIo.remove_file(path)
+        }
+        fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            RealIo.list_dir(dir)
+        }
+    }
+
+    #[test]
+    fn an_over_budget_epoch_is_never_checkpointed() {
+        // The sim-time watchdog fires before the checkpoint write. A
+        // checkpoint of the epoch that broke the budget would survive a
+        // kill before the cell's cleanup, and `--resume` would restore
+        // the overrun: a later `done`, or on the final epoch a clean cell
+        // where the uninterrupted run failed.
+        let cfg = SimConfig::fast_test();
+        let dir = std::env::temp_dir().join(format!("twice-budget-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let io = Arc::new(RecordingIo::default());
+        let mut cc = CampaignConfig::new(4_000);
+        cc.epoch = 512;
+        cc.sim_budget_ps = Some(1);
+        cc.dir = Some(dir.clone());
+        cc.io = io.clone();
+        let report = chaos_campaign(&cfg, &cc).expect("campaign");
+        for cell in &report.cells {
+            assert!(
+                matches!(cell.outcome.result, Err(CellError::SimTimeExceeded { .. })),
+                "{:?}",
+                cell.outcome.result
+            );
+        }
+        let checkpoints: Vec<PathBuf> = io
+            .writes
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
+            .cloned()
+            .collect();
+        assert!(
+            checkpoints.is_empty(),
+            "over-budget epochs were checkpointed: {checkpoints:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,7 @@ use crate::metrics::RunMetrics;
 use crate::outcome::CellError;
 use crate::runner::{try_build_source, WorkloadKind};
 use crate::system::System;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use twice_common::snapshot::{
     Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
 };
@@ -95,11 +95,23 @@ impl ResumableRun {
         blob: &[u8],
     ) -> Result<ResumableRun, CellError> {
         let mut run = ResumableRun::new(cfg, workload, defense, total)?;
+        run.load(blob)?;
+        Ok(run)
+    }
+
+    /// Overwrites this fresh run's state with a
+    /// [`checkpoint`](ResumableRun::checkpoint) blob, under the same
+    /// checks as [`ResumableRun::restore`]. On error the run is left
+    /// half-loaded and must be discarded.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ResumableRun::restore`].
+    pub(crate) fn load(&mut self, blob: &[u8]) -> Result<(), CellError> {
         let mut r =
             SnapshotReader::new(blob).map_err(|e| CellError::BadCheckpoint(e.to_string()))?;
-        run.load_state(&mut r)
-            .map_err(|e| CellError::BadCheckpoint(e.to_string()))?;
-        Ok(run)
+        self.load_state(&mut r)
+            .map_err(|e| CellError::BadCheckpoint(e.to_string()))
     }
 
     /// Feeds up to `epoch` further requests; once the trace is
@@ -158,11 +170,6 @@ impl ResumableRun {
     /// Requests fed so far.
     pub fn requests_done(&self) -> u64 {
         self.done
-    }
-
-    /// The run's request budget.
-    pub fn total_requests(&self) -> u64 {
-        self.total
     }
 
     /// The underlying system (controller/fault inspection).
@@ -248,22 +255,6 @@ impl Snapshot for ResumableRun {
     }
 }
 
-/// The path of grid cell `index`'s private epoch checkpoint inside a
-/// campaign directory. Parallel workers write here — one file per cell,
-/// so no two workers ever contend on a checkpoint — while the serial
-/// loop keeps the single shared [`crate::campaign::CHECKPOINT_FILE`].
-pub fn cell_checkpoint_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("cell-{index:02}.ckpt"))
-}
-
-/// Writes `bytes` to `path` via a temporary file + fsync + rename +
-/// parent-directory fsync, so a crash or power loss mid-write never
-/// leaves a torn checkpoint behind — and never persists the rename
-/// without the data (see [`crate::cio::durable_atomic_write`]).
-pub fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    crate::cio::durable_atomic_write(path, bytes)
-}
-
 /// Seals a cell's epoch checkpoint: the owning cell id wraps the run
 /// blob, so the checkpoint carries its identity, not just its state.
 ///
@@ -301,16 +292,6 @@ pub enum CheckpointRead {
     Corrupt(String),
     /// The inner run blob, checksummed and owned by the requested id.
     Valid(Vec<u8>),
-}
-
-impl CheckpointRead {
-    /// The run blob, when the read was [`CheckpointRead::Valid`].
-    pub fn into_blob(self) -> Option<Vec<u8>> {
-        match self {
-            CheckpointRead::Valid(blob) => Some(blob),
-            _ => None,
-        }
-    }
 }
 
 /// Reads a cell checkpoint back, yielding the inner run blob only when

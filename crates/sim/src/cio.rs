@@ -146,27 +146,6 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` durably and atomically: temp file, fsync,
-/// rename, parent-directory fsync. Crash-ordering contract: after this
-/// returns, the file holds either the complete old contents or the
-/// complete new contents, and the new contents cannot be lost to a
-/// power cut that the rename survived.
-///
-/// # Errors
-///
-/// Filesystem errors from any step.
-pub fn durable_atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path)
-}
-
 impl CampaignIo for RealIo {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)
@@ -176,8 +155,19 @@ impl CampaignIo for RealIo {
         std::fs::read(path)
     }
 
+    /// Crash-ordering contract: after this returns, the file holds the
+    /// complete new contents, and they cannot be lost to a power cut
+    /// that the rename survived; before, it holds the complete old ones.
     fn write_atomically(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        durable_atomic_write(path, bytes)
+        use std::io::Write as _;
+        let tmp = path.with_extension("tmp");
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(bytes)?;
+            f.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {

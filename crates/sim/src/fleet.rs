@@ -3,27 +3,27 @@
 //! A *fleet* is O(10³) independent shard simulations — each shard a
 //! full channel/rank/bank system running a mixed multi-tenant workload
 //! (MAPKI-calibrated benign applications plus a configurable attacker
-//! fraction, see [`twice_workloads::mix::tenant_blend`]) — scheduled
-//! across the [`crate::parallel`] worker pool under the
-//! [`crate::supervisor`] tree. The design goal is **degrade, don't
-//! die**: a shard that panics, exceeds its wall/sim deadline, or
-//! exhausts its I/O retry budget climbs the supervision ladder (retry
-//! with backoff → whole-shard restart from its last epoch checkpoint →
-//! [`ShardError::Quarantined`]) and the fleet completes in degraded
-//! mode with a [`FleetSummary`] instead of aborting.
+//! fraction, see [`twice_workloads::mix::tenant_blend`]) — run as the
+//! cells of one [`crate::grid`]. The design goal is **degrade, don't
+//! die**: a failing shard climbs the supervision ladder (retry with
+//! backoff → whole-shard restart from its last epoch checkpoint →
+//! [`CellError::Quarantined`]) and the fleet completes in degraded mode
+//! with a [`FleetSummary`]. Shards restart from checkpoints, so every
+//! failure kind is retried ([`Retry::All`]). What is the fleet's own:
 //!
+//! * **Shard derivation** — every shard's config, workload, and fault
+//!   plan derive from the fleet seed and the shard index alone.
 //! * **Device faults** — `device_faults: Some(seed)` arms every shard
 //!   with a recoverable device-level [`FaultPlan`] (stuck bank FSMs,
 //!   dropped refresh windows, counter-SRAM soft errors, bus glitches),
 //!   decorrelated per shard, so the fleet exercises the nack/retry and
 //!   scrub defenses at scale.
-//! * **Durability** — with a fleet directory, completed shards append
-//!   to a CRC-sealed JSONL journal (`shards.jsonl`, grid-ordered via
-//!   [`OrderedJournalWriter`]) behind a meta line that records the
-//!   fleet shape; in-flight shards checkpoint every epoch. On
-//!   `--resume` the recorded meta **wins over CLI flags**, so a run
-//!   resumed under different knobs still converges to the original
-//!   fleet's digests.
+//! * **Sabotage** — `dead_shards` shards fail deterministically, to
+//!   exercise quarantine end to end.
+//! * **The meta line** — the CRC-sealed journal (`shards.jsonl`) opens
+//!   with a line that records the fleet shape. On `--resume` the
+//!   recorded meta **wins over CLI flags**, so a run resumed under
+//!   different knobs still converges to the original fleet's digests.
 //! * **Telemetry** — completed shards fold into a prefix-ordered
 //!   aggregate; every `telemetry_every` completions a cumulative row
 //!   streams through a bounded channel to a consumer thread that
@@ -31,26 +31,20 @@
 //!   coalesced (newest cumulative row wins) and drop-counted — the
 //!   producer never blocks and never buffers more than one stashed row.
 
-use crate::campaign::sweep_stale_files;
-use crate::checkpoint::{
-    read_cell_checkpoint, write_cell_checkpoint, CheckpointRead, ResumableRun,
-};
-use crate::cio::{with_retries, CampaignIo, RealIo, StorageEvents, StorageSummary};
+use crate::checkpoint::ResumableRun;
+use crate::cio::StorageSummary;
 use crate::config::SimConfig;
 use crate::experiments::chaos;
-use crate::journal::{
-    emit_line, parse_line, seal_line, unseal_line, JsonValue, OrderedJournalWriter,
-};
-use crate::parallel::parallel_map;
+use crate::grid::{deref_to_supervision, sim_watchdog, Attempt, Done, Grid, Supervision};
+use crate::journal::{emit_line, parse_line, seal_line, unseal_line, JsonValue};
+use crate::outcome::CellError;
 use crate::runner::WorkloadKind;
-use crate::supervisor::{ShardError, Supervisor};
+use crate::supervisor::Retry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 use twice_common::fault::{FaultKind, FaultPlan};
 use twice_common::rng::SplitMix64;
 use twice_obs::{Ctr, HEARTBEAT};
@@ -74,7 +68,8 @@ pub const TELEMETRY_SCHEMA: &str = "twice-fleet-telemetry-1";
 /// backpressure is the contract under test, not a buffer to hide it.
 const TELEMETRY_DEPTH: usize = 4;
 
-/// Knobs for one fleet run.
+/// Knobs for one fleet run: the fleet shape plus the shared supervision
+/// knobs, which it derefs to (`fc.jobs`, `fc.dir`, …).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// How many shard instances to run.
@@ -94,41 +89,24 @@ pub struct FleetConfig {
     /// (alternating injected panics and deadline overruns), exercising
     /// quarantine end to end.
     pub dead_shards: usize,
-    /// Per-shard host wall-clock budget, checked at epoch boundaries.
-    pub wall_budget_ms: Option<u64>,
-    /// Per-shard simulated-time budget (ps), checked at epoch
-    /// boundaries.
-    pub sim_budget_ps: Option<u64>,
-    /// Crash simulation: stop the fleet after this many freshly
-    /// completed shards (journal intact, resumable).
-    pub halt_after: Option<usize>,
     /// Emit a telemetry row every this many prefix completions.
     pub telemetry_every: usize,
-    /// Fleet directory for journal, checkpoints, and telemetry; `None`
-    /// runs fully in memory.
-    pub dir: Option<PathBuf>,
-    /// Whether this run resumes an earlier fleet in `dir`.
-    pub resume: bool,
-    /// Worker threads for the shard pool.
-    pub jobs: usize,
-    /// Attempts per shard before quarantine (1 = no retry).
-    pub retries: u32,
-    /// Linear backoff between attempts, in milliseconds.
-    pub backoff_ms: u64,
-    /// The storage layer every journal/checkpoint/telemetry byte flows
-    /// through.
-    pub io: Arc<dyn CampaignIo>,
     /// Which [`HEARTBEAT`] counters telemetry rows carry. Must be a
     /// subset of [`HEARTBEAT`]: those are the counters whose per-shard
     /// deltas are pure functions of the shard seed, which is what keeps
     /// rows byte-identical across `--jobs` values.
     pub heartbeat: Vec<Ctr>,
+    /// Directory, workers, retries, budgets, halt, storage layer. The
+    /// directory also holds `telemetry.jsonl`.
+    pub sup: Supervision,
 }
+
+deref_to_supervision!(FleetConfig);
 
 impl FleetConfig {
     /// An in-memory fleet of `shards` shards with the smoke-test
     /// defaults: 2000 requests per shard, 1024-request epochs, two
-    /// attacker tenants, serial execution, real I/O.
+    /// attacker tenants, the default [`Supervision`].
     pub fn new(shards: usize) -> FleetConfig {
         FleetConfig {
             shards,
@@ -138,22 +116,10 @@ impl FleetConfig {
             seed: 0x1EE7,
             device_faults: None,
             dead_shards: 0,
-            wall_budget_ms: None,
-            sim_budget_ps: None,
-            halt_after: None,
             telemetry_every: 16,
-            dir: None,
-            resume: false,
-            jobs: 1,
-            retries: 3,
-            backoff_ms: 0,
-            io: Arc::new(RealIo),
             heartbeat: HEARTBEAT.to_vec(),
+            sup: Supervision::default(),
         }
-    }
-
-    fn op_retries(&self) -> u32 {
-        self.retries.clamp(1, 3)
     }
 }
 
@@ -188,17 +154,9 @@ pub struct ShardStats {
     pub digest: u64,
 }
 
-/// One shard's result: completed stats, or the supervision ladder's
-/// terminal error.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// The shard index within the fleet.
-    pub index: usize,
-    /// Whether the stats came from a previous run's journal.
-    pub salvaged: bool,
-    /// The stats, or why the shard was quarantined/skipped.
-    pub result: Result<ShardStats, ShardError>,
-}
+/// One shard's result (`index` is the shard index): completed stats, or
+/// the supervision ladder's terminal error.
+pub type ShardOutcome = Done<ShardStats>;
 
 /// The fleet-wide aggregate, printed to stderr when the fleet degrades.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -332,11 +290,6 @@ fn shard_id(fc: &FleetConfig, index: usize) -> String {
     format!("shard-{index:04}/{:016x}", fc.seed)
 }
 
-/// `shard-NNNN.ckpt` inside the fleet directory.
-pub fn shard_checkpoint_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("shard-{index:04}.ckpt"))
-}
-
 /// Picks the sabotaged shard set: `dead_shards` distinct indices drawn
 /// from the device seed (or the fleet seed), alternating panic and
 /// deadline sabotage in draw order.
@@ -361,109 +314,50 @@ fn dead_map(fc: &FleetConfig) -> HashMap<usize, Sabotage> {
     out
 }
 
-/// One shard's work, bundled so a supervision attempt is a single call.
-struct ShardTask<'a> {
-    fc: &'a FleetConfig,
-    cfg: SimConfig,
-    workload: WorkloadKind,
-    id: String,
-    ckpt: Option<PathBuf>,
+/// One attempt at shard `index`: restore its last epoch checkpoint if
+/// one exists (the supervisor's restart rung), then run epoch by epoch
+/// with the sabotage hook ahead of the watchdogs and the checkpoint.
+fn run_shard(
+    attempt: &Attempt<'_>,
+    fc: &FleetConfig,
+    index: usize,
     sabotage: Option<Sabotage>,
-    events: &'a StorageEvents,
-}
-
-impl ShardTask<'_> {
-    /// One attempt: restore from the last epoch checkpoint if one
-    /// exists (the supervisor's restart rung), then run epoch by epoch
-    /// with checkpoint writes and watchdogs at each boundary.
-    fn run_once(&self) -> Result<ShardStats, ShardError> {
-        let fc = self.fc;
-        let io = fc.io.as_ref();
-        // The shard's heartbeat block is the thread-local counter delta
-        // across this attempt — same worker thread throughout, so the
-        // delta never picks up another shard's work.
-        let obs_before = twice_obs::local_counters();
-        let defense = chaos::chaos_defense();
-        let read_blob = |p: &Path| match read_cell_checkpoint(io, p, &self.id) {
-            CheckpointRead::Valid(blob) => Some(blob),
-            CheckpointRead::Corrupt(_) => {
-                StorageEvents::bump(&self.events.corrupt_checkpoints);
-                None
-            }
-            CheckpointRead::Absent | CheckpointRead::Foreign => None,
-        };
-        let restored = self.ckpt.as_deref().and_then(read_blob).and_then(|blob| {
-            match ResumableRun::restore(&self.cfg, &self.workload, defense, fc.requests, &blob) {
-                Ok(r) => Some(r),
-                Err(_) => {
-                    StorageEvents::bump(&self.events.corrupt_checkpoints);
-                    None
-                }
-            }
-        });
-        let mut run = match restored {
-            Some(r) => r,
-            None => ResumableRun::new(&self.cfg, &self.workload, defense, fc.requests)
-                .map_err(|e| ShardError::Invalid(e.to_string()))?,
-        };
-        let epoch = fc.epoch.max(1);
-        let sim_budget = match self.sabotage {
-            Some(Sabotage::Deadline) => Some(1),
-            _ => fc.sim_budget_ps,
-        };
-        let start = Instant::now();
-        let mut epochs = run.requests_done() / epoch;
-        while !run.is_complete() {
-            run.run_epoch(epoch)
-                .map_err(|e| ShardError::Invalid(format!("controller: {e}")))?;
-            epochs += 1;
-            if let Some(Sabotage::Panic { at_epoch }) = self.sabotage {
-                // Before the checkpoint write: a restart replays this
-                // epoch and panics again, so sabotage stays terminal
-                // even when the whole run fits in one epoch.
+) -> Result<ShardStats, CellError> {
+    // The shard's heartbeat block is the thread-local counter delta
+    // across this attempt — same worker thread throughout, so the delta
+    // never picks up another shard's work.
+    let obs_before = twice_obs::local_counters();
+    let cfg = shard_config(fc, index);
+    let workload = shard_workload(fc, index);
+    let epoch = fc.epoch.max(1);
+    let (run, exhausted) = attempt.run_epochs(
+        &shard_id(fc, index),
+        epoch,
+        || ResumableRun::new(&cfg, &workload, chaos::chaos_defense(), fc.requests),
+        |run| match sabotage {
+            // Before the checkpoint write: a restart replays this epoch
+            // and panics again, so sabotage stays terminal even when the
+            // whole run fits in one epoch.
+            Some(Sabotage::Panic { at_epoch }) => {
+                let epochs = run.requests_done().div_ceil(epoch);
                 if epochs >= at_epoch {
                     panic!("injected shard panic at epoch {epochs}");
                 }
+                Ok(())
             }
-            // Sim-time watchdog fires before the checkpoint write: an
-            // over-budget epoch must not persist progress, or a retry
-            // could restore a completed run and launder the overrun
-            // into a clean exit.
-            if let Some(ps) = sim_budget {
-                if run.system().sim_time().as_ps() > ps {
-                    return Err(ShardError::SimTimeExceeded {
-                        budget_ps: ps,
-                        done: run.requests_done(),
-                    });
-                }
-            }
-            if let Some(p) = &self.ckpt {
-                with_retries(fc.op_retries(), fc.backoff_ms, || {
-                    write_cell_checkpoint(io, p, &self.id, &run)
-                })
-                .map_err(|e| ShardError::Io(e.to_string()))?;
-            }
-            // The wall watchdog runs after the checkpoint on purpose: a
-            // transiently slow attempt keeps its progress, so a retry
-            // resumes instead of replaying — slowness is recoverable,
-            // unlike a blown sim budget.
-            if let Some(ms) = fc.wall_budget_ms {
-                let elapsed = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-                if elapsed > ms {
-                    return Err(ShardError::WallClockExceeded {
-                        budget_ms: ms,
-                        done: run.requests_done(),
-                    });
-                }
-            }
-        }
-        let mut stats = collect_stats(&run);
-        let obs_after = twice_obs::local_counters();
-        for (slot, c) in HEARTBEAT.iter().enumerate() {
-            stats.obs[slot] = obs_after[*c as usize].saturating_sub(obs_before[*c as usize]);
-        }
-        Ok(stats)
+            Some(Sabotage::Deadline) => sim_watchdog(Some(1), run.system(), run.requests_done()),
+            None => Ok(()),
+        },
+    )?;
+    if let Some(e) = exhausted {
+        return Err(CellError::RetryExhausted(format!("controller: {e}")));
     }
+    let mut stats = collect_stats(&run);
+    let obs_after = twice_obs::local_counters();
+    for (slot, c) in HEARTBEAT.iter().enumerate() {
+        stats.obs[slot] = obs_after[*c as usize].saturating_sub(obs_before[*c as usize]);
+    }
+    Ok(stats)
 }
 
 fn collect_stats(run: &ResumableRun) -> ShardStats {
@@ -686,10 +580,8 @@ impl Telemetry {
 }
 
 fn spawn_consumer(
-    io: Arc<dyn CampaignIo>,
+    sup: Supervision,
     path: PathBuf,
-    retries: u32,
-    backoff_ms: u64,
     rx: Receiver<String>,
 ) -> std::thread::JoinHandle<u64> {
     std::thread::spawn(move || {
@@ -697,7 +589,7 @@ fn spawn_consumer(
         for row in rx {
             let _io_span = twice_obs::span(twice_obs::SpanId::SimJournalIo);
             twice_obs::bump(twice_obs::Ctr::SimJournalAppends);
-            if with_retries(retries, backoff_ms, || io.append_line(&path, &row)).is_ok() {
+            if sup.retry_io(|| sup.io.append_line(&path, &row)).is_ok() {
                 written += 1;
             }
         }
@@ -837,115 +729,49 @@ fn parse_fleet_line(line: &str) -> Option<FleetLine> {
     Some(FleetLine::Shard(index, stats))
 }
 
-/// Loads the fleet journal, salvaging a corrupt tail exactly like the
-/// campaign journal loader: the trusted prefix is kept, the suffix
-/// moved to `journal.corrupt`, and the shards whose lines were lost
-/// simply rerun.
-fn load_fleet_journal(
-    io: &dyn CampaignIo,
-    path: &Path,
-    fc: &FleetConfig,
-    events: &StorageEvents,
-) -> std::io::Result<(Option<FleetMeta>, HashMap<usize, ShardStats>)> {
-    let mut meta = None;
-    let mut out = HashMap::new();
-    let bytes = match io.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((meta, out)),
-        Err(e) => return Err(e),
-    };
-    let mut good_end = 0usize;
-    for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-        if !chunk.ends_with(b"\n") {
-            break;
-        }
-        let Ok(line) = std::str::from_utf8(&chunk[..chunk.len() - 1]) else {
-            break;
-        };
-        if line.trim().is_empty() {
-            good_end += chunk.len();
-            continue;
-        }
-        match parse_fleet_line(line) {
-            Some(FleetLine::Meta(m)) => {
-                meta.get_or_insert(m);
-            }
-            Some(FleetLine::Shard(index, stats)) => {
-                out.insert(index, stats);
-            }
-            None => break,
-        }
-        good_end += chunk.len();
-    }
-    if good_end < bytes.len() {
-        let suffix = &bytes[good_end..];
-        let dropped = suffix
-            .split(|&b| b == b'\n')
-            .filter(|l| !l.is_empty())
-            .count() as u64;
-        let _ = with_retries(fc.op_retries(), fc.backoff_ms, || {
-            io.write_file(
-                &path.with_file_name(crate::campaign::JOURNAL_CORRUPT_FILE),
-                suffix,
-            )
-        });
-        let _ = with_retries(fc.op_retries(), fc.backoff_ms, || {
-            io.write_atomically(path, &bytes[..good_end])
-        });
-        StorageEvents::bump(&events.journal_salvages);
-        StorageEvents::add(&events.salvaged_lines_dropped, dropped);
-    }
-    Ok((meta, out))
-}
-
 // ---------------------------------------------------------------------
 // The fleet runner.
 // ---------------------------------------------------------------------
 
-/// Runs the fleet under supervision: every shard isolated by
-/// `catch_unwind` behind the [`Supervisor`] ladder, journal and
-/// telemetry flowing through bounded, never-blocking paths, and a
-/// degraded (quarantine-carrying) run completing with a full
-/// [`FleetReport`] instead of aborting.
+/// Runs the fleet on the grid runner: every shard isolated behind the
+/// [`Retry::All`] supervision ladder, journal and telemetry flowing
+/// through bounded, never-blocking paths, and a degraded
+/// (quarantine-carrying) run completing with a full [`FleetReport`]
+/// instead of aborting.
 ///
 /// # Errors
 ///
 /// Only unrecoverable setup I/O: the fleet directory cannot be created
 /// or the journal cannot be read at all.
 pub fn run_fleet(fc: &FleetConfig) -> std::io::Result<FleetReport> {
-    let events = StorageEvents::default();
-    if let Some(dir) = &fc.dir {
-        fc.io.create_dir_all(dir)?;
-        sweep_stale_files(fc.io.as_ref(), dir, fc.resume, &events);
+    let (grid, lines) = Grid::open(&fc.sup, FLEET_JOURNAL_FILE, parse_fleet_line)?;
+    let mut meta = None;
+    let mut journaled = HashMap::new();
+    for line in lines {
+        match line {
+            FleetLine::Meta(m) => {
+                meta.get_or_insert(m);
+            }
+            FleetLine::Shard(index, stats) => {
+                journaled.insert(index, stats);
+            }
+        }
     }
-    let journal_path = fc.dir.as_ref().map(|d| d.join(FLEET_JOURNAL_FILE));
-    let (meta, journaled) = match &journal_path {
-        Some(p) => load_fleet_journal(fc.io.as_ref(), p, fc, &events)?,
-        None => (None, HashMap::new()),
-    };
 
     // The recorded fleet shape wins over the caller's knobs: a resume
     // under different flags (even a different device-fault seed) still
     // reproduces the original fleet, which is what makes per-shard
     // digests byte-stable across kill/resume cycles.
     let mut fc_eff = fc.clone();
-    if let Some(m) = &meta {
-        m.apply(&mut fc_eff);
-    }
-    let fc_eff = &fc_eff;
-
-    let dead = dead_map(fc_eff);
-    let writer = journal_path.as_ref().map(|p| {
-        OrderedJournalWriter::new(fc.io.clone(), p.clone(), fc.op_retries(), fc.backoff_ms)
-    });
-    if let Some(w) = &writer {
-        // Journal slot 0 is the meta line; shard `i` owns slot `i + 1`.
-        if meta.is_some() {
-            w.submit(0, None);
-        } else {
-            w.submit(0, Some(meta_line(&FleetMeta::of(fc_eff))));
+    match &meta {
+        Some(m) => m.apply(&mut fc_eff),
+        // A meta line lost to a failing disk is counted on the ledger;
+        // a later resume then runs under its own flags.
+        None => {
+            let _ = grid.append(&meta_line(&FleetMeta::of(&fc_eff)));
         }
     }
+    let fc_eff = &fc_eff;
 
     let (tx, rx) = sync_channel(TELEMETRY_DEPTH);
     let telemetry = Telemetry::new(fc_eff.telemetry_every as u64, tx, fc_eff.heartbeat.clone());
@@ -955,13 +781,7 @@ pub fn run_fleet(fc: &FleetConfig) -> std::io::Result<FleetReport> {
             if !fc.resume {
                 let _ = fc.io.remove_file(&path);
             }
-            Some(spawn_consumer(
-                fc.io.clone(),
-                path,
-                fc.op_retries(),
-                fc.backoff_ms,
-                rx,
-            ))
+            Some(spawn_consumer(fc.sup.clone(), path, rx))
         }
         None => {
             drop(rx);
@@ -969,88 +789,22 @@ pub fn run_fleet(fc: &FleetConfig) -> std::io::Result<FleetReport> {
         }
     };
 
-    let supervisor = Supervisor::new(fc.retries, fc.backoff_ms);
-    let fresh = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
+    let dead = dead_map(fc_eff);
     let indices: Vec<usize> = (0..fc_eff.shards).collect();
-    let results: Vec<Option<ShardOutcome>> =
-        parallel_map(fc_eff.jobs.max(1), &indices, |_, &index| {
-            let slot = index + 1;
-            if let Some(s) = journaled.get(&index) {
-                if let Some(w) = &writer {
-                    w.submit(slot, None);
-                }
-                telemetry.submit(index, Some(s));
-                return Some(ShardOutcome {
-                    index,
-                    salvaged: true,
-                    result: Ok(s.clone()),
-                });
-            }
-            if stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            let id = shard_id(fc_eff, index);
-            let task = ShardTask {
-                fc: fc_eff,
-                cfg: shard_config(fc_eff, index),
-                workload: shard_workload(fc_eff, index),
-                id: id.clone(),
-                ckpt: fc.dir.as_ref().map(|d| shard_checkpoint_path(d, index)),
-                sabotage: dead.get(&index).copied(),
-                events: &events,
-            };
-            let result = supervisor.supervise(
-                |_| task.run_once(),
-                |attempt, _| {
-                    if attempt == 1 {
-                        StorageEvents::bump(&events.retried_cells);
-                    }
-                },
-            );
-            if result.is_err() {
-                StorageEvents::bump(&events.quarantined_cells);
-            }
-            // The shard is over either way; its epoch checkpoint is
-            // stale (the id binding is the backstop for kills).
-            if let Some(p) = &task.ckpt {
-                let _ = fc.io.remove_file(p);
-            }
-            let line = result.as_ref().ok().map(|s| shard_line(index, &id, s));
-            if let Some(w) = &writer {
-                w.submit(slot, line);
-            }
-            telemetry.submit(index, result.as_ref().ok());
-            if result.is_ok() {
-                let n = fresh.fetch_add(1, Ordering::SeqCst) + 1;
-                if fc_eff.halt_after.is_some_and(|h| n >= h) {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            }
-            Some(ShardOutcome {
-                index,
-                salvaged: false,
-                result,
-            })
-        });
-
-    let halted = stop.load(Ordering::SeqCst);
-    if halted {
-        if let Some(w) = &writer {
-            w.flush_stragglers();
-        }
-    }
-    if let Some(w) = &writer {
-        StorageEvents::add(&events.journal_write_failures, w.dropped());
-    }
-    drop(writer);
+    let shards = grid.run(
+        &indices,
+        Retry::All,
+        |index| journaled.get(index).cloned(),
+        |attempt, &index| run_shard(attempt, fc_eff, index, dead.get(&index).copied()),
+        |&index, s| shard_line(index, &shard_id(fc_eff, index), s),
+        |index, result| telemetry.submit(index, result.ok()),
+    );
     let (rows, coalesced) = telemetry.finish();
     drop(telemetry); // closes the channel; the consumer drains and exits
     if let Some(handle) = consumer {
         let _ = handle.join();
     }
 
-    let shards: Vec<ShardOutcome> = results.into_iter().flatten().collect();
     let salvaged = shards.iter().filter(|s| s.salvaged).count();
     let mut summary = FleetSummary {
         shards: fc_eff.shards,
@@ -1077,9 +831,9 @@ pub fn run_fleet(fc: &FleetConfig) -> std::io::Result<FleetReport> {
         shards,
         summary,
         telemetry: rows,
-        halted,
+        halted: grid.halted(),
         salvaged,
-        storage: events.summary(),
+        storage: grid.storage(),
     })
 }
 
@@ -1135,7 +889,7 @@ mod tests {
         for s in &r.shards {
             if let Err(e) = &s.result {
                 assert!(
-                    matches!(e, ShardError::Quarantined { attempts: 2, .. }),
+                    matches!(e, CellError::Quarantined { attempts: 2, .. }),
                     "{e}"
                 );
             }

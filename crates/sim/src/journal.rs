@@ -1,20 +1,21 @@
-//! The JSONL cell-outcome journal for resumable campaigns.
+//! The JSONL cell-outcome journal for resumable grid runs.
 //!
 //! One line per *completed* grid cell, appended and flushed as soon as
-//! the cell finishes, so a crash loses at most the in-flight cell (whose
-//! partial state lives in the epoch checkpoint instead). The format is a
+//! the cell finishes, so a crash loses at most the in-flight cells (whose
+//! partial state lives in their epoch checkpoints instead). The chaos
+//! campaign, the fleet and the red-team search each bring their own
+//! line codec; writing, ordering and loading are shared. The format is a
 //! flat JSON object of strings, unsigned integers, and booleans —
 //! written and parsed by the tiny codec below, because the workspace
 //! deliberately has no serde dependency.
 //!
-//! Every line the campaign persists is *sealed* with a trailing `crc`
-//! field ([`seal_line`]) — an FNV-1a checksum over the rest of the
-//! object — and loading verifies it ([`unseal_line`]). A torn append
-//! fails to parse; a bit-rotted line that still *looks* like JSON fails
-//! its CRC. Either way the loader treats the line as corrupt and the
-//! salvage machinery in [`crate::campaign`] truncates the journal to
-//! its last sealed line, so corrupted outcomes are recomputed rather
-//! than trusted.
+//! Every journaled line is *sealed* with a trailing `crc` field
+//! ([`seal_line`]) — an FNV-1a checksum over the rest of the object —
+//! and loading verifies it ([`unseal_line`]). A torn append fails to
+//! parse; a bit-rotted line that still *looks* like JSON fails its CRC.
+//! Either way the one loader, `Grid::open` in [`crate::grid`], ends the
+//! trusted prefix there and truncates the journal to its last good
+//! line, so corrupted outcomes are recomputed rather than trusted.
 
 use crate::cio::{with_retries, CampaignIo};
 use std::collections::BTreeMap;
@@ -266,11 +267,11 @@ impl Parser {
 ///
 /// Every grid cell — salvaged, completed, or failed — must `submit` its
 /// index exactly once: completed cells submit their journal line,
-/// salvaged and failed cells submit `None` (the serial loop journals
-/// neither). Lines are held in a pending map and written only as the
-/// contiguous prefix of indices completes, so the bytes that reach the
-/// file are exactly the bytes the serial loop would have appended, in
-/// the same order. Anything still pending when a campaign halts early is
+/// salvaged and failed cells submit `None`. Lines are held in a pending
+/// map and written only as the contiguous prefix of indices completes,
+/// so the bytes that reach the file are the same for any worker count:
+/// grid order, one line per completed cell. Anything still pending when
+/// a campaign halts early is
 /// written by [`flush_stragglers`](OrderedJournalWriter::flush_stragglers)
 /// — out of grid order, which is fine because journal *loading* is keyed
 /// by cell id, not line position.

@@ -20,17 +20,22 @@
 //! * [`outcome`] — typed per-cell results for experiment grids.
 //! * [`checkpoint`] — epoch-based resumable runs with digests.
 //! * [`journal`] — the JSONL cell-outcome journal.
+//! * [`grid`] — the one supervised grid runner behind `chaos`, `fleet`
+//!   and `redteam`: sweeps, journal salvage, the pooled cell loop, the
+//!   epoch loop.
 //! * [`campaign`] — the supervised, crash-safe chaos campaign.
 //! * [`parallel`] — the fixed-size worker pool behind `--jobs`.
 //! * [`profile`] — the instrumented single-cell profiler behind
 //!   `twice-exp profile` (Chrome trace_event export).
 //! * [`cio`] — campaign storage I/O: durable writes, injectable
 //!   storage faults, and the self-healing recovery ledger.
-//! * [`supervisor`] — panic isolation and the retry-all shard ladder.
+//! * [`supervisor`] — panic isolation and the retry → quarantine ladder.
 //! * [`tracecli`] — binary trace record/replay/verify through the
 //!   campaign storage seam (`twice-exp trace …`).
 //! * [`fleet`] — the sharded, degrade-don't-die fleet runtime behind
 //!   `twice-exp fleet`.
+//! * [`redteam`] — the adversarial hammer-pattern search and its
+//!   regression corpus behind `twice-exp redteam`.
 //!
 //! # Examples
 //!
@@ -58,6 +63,7 @@ pub mod cio;
 pub mod config;
 pub mod experiments;
 pub mod fleet;
+pub mod grid;
 pub mod journal;
 pub mod metrics;
 pub mod outcome;

@@ -40,13 +40,13 @@ pub enum CellError {
     },
     /// Journal or checkpoint I/O failed.
     Io(String),
-    /// The cell kept failing on I/O and was quarantined after
-    /// exhausting its retry budget; the campaign completed in degraded
-    /// mode without it.
+    /// The cell kept failing and was quarantined after exhausting its
+    /// retry budget (see [`crate::supervisor::Retry`] for which failures
+    /// are retried); the run completed in degraded mode without it.
     Quarantined {
         /// How many whole-cell attempts were made before giving up.
         attempts: u32,
-        /// The final attempt's I/O failure.
+        /// The final attempt's failure.
         cause: String,
     },
 }

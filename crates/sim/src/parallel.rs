@@ -1,11 +1,14 @@
 //! A fixed-size `std::thread` worker pool for independent grid cells.
 //!
-//! The workspace stays offline (no rayon), so the experiment grids share
-//! this one primitive: [`parallel_map`] claims item indices from an
-//! atomic counter, runs each item to completion on whichever worker
-//! claimed it, and returns the results **in input order** — callers see
-//! exactly what the serial loop would have produced, which is what makes
-//! the campaign's serial-equivalence guarantee (DESIGN.md §5e) testable.
+//! The workspace stays offline (no rayon), so the experiment grids and
+//! the supervised [`crate::grid`] runner share this one primitive:
+//! [`parallel_map`] claims item indices from an atomic counter, runs
+//! each item to completion on whichever worker claimed it, and returns
+//! the results **in input order** — callers see exactly what a serial
+//! loop would have produced, which is what makes the runners'
+//! `--jobs`-equivalence guarantee (DESIGN.md §5e) testable. With one
+//! worker it *is* that serial loop, on the calling thread, so there is
+//! no separate `--jobs 1` code path to keep in step.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -10,16 +10,17 @@
 //! straddles, many-sided rotations past tracker capacity, decoy floods
 //! that churn capacity-bound tables.
 //!
-//! Every candidate runs under the same supervision ladder as the fleet
-//! (degrade, don't die): the body is wrapped in [`Supervisor`] so a
-//! panicking or budget-blowing genome is **quarantined** (fitness 0)
-//! instead of aborting the generation. Every evaluation is journaled as
-//! a CRC-sealed line through [`OrderedJournalWriter`], so a killed
+//! Every generation is one [`crate::grid`] run, so each candidate gets
+//! the same supervision as a chaos cell (degrade, don't die):
+//! [`eval_genome`] catches a panicking or budget-blowing genome and
+//! **quarantines** it (fitness 0) instead of aborting the generation,
+//! and evaluations are deterministic, so nothing is retried but I/O.
+//! Every evaluation is journaled as a CRC-sealed line, so a killed
 //! search resumes mid-generation, re-runs only the missing slots, and —
 //! enforced, not hoped — reproduces the uninterrupted run's per-
-//! generation digests. Evaluation fans out through
-//! [`parallel_map`](crate::parallel::parallel_map), whose `jobs <= 1`
-//! path is the literal serial loop, so `--jobs N` cannot change results.
+//! generation digests, whatever `--jobs` is. What is the red team's own:
+//! genomes, breeding, the meta line that must match on resume, and the
+//! corpus.
 //!
 //! The best genomes are distilled into fixed v2 traces (a `corpus/`
 //! directory plus a sealed `MANIFEST.jsonl`) and [`verify_corpus`]
@@ -29,17 +30,14 @@
 
 use crate::cio::{with_retries, CampaignIo};
 use crate::config::SimConfig;
-use crate::journal::{
-    emit_line, parse_line, seal_line, unseal_line, JsonValue, OrderedJournalWriter,
-};
-use crate::parallel::parallel_map;
-use crate::supervisor::{ShardError, Supervisor};
+use crate::grid::{deref_to_supervision, sim_watchdog, wall_watchdog, Grid, Supervision};
+use crate::journal::{emit_line, parse_line, seal_line, unseal_line, JsonValue};
+use crate::outcome::CellError;
+use crate::supervisor::{Retry, Supervisor};
 use crate::system::System;
 use crate::tracecli::replay_trace;
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use twice_common::rng::SplitMix64;
@@ -61,7 +59,9 @@ pub const REDTEAM_VERSION: u64 = 1;
 /// baselines, and must fail loudly rather than be re-pinned silently.
 pub const MUST_HOLD: [&str; 5] = ["twice-fa", "twice-pa", "twice-split", "graphene", "oracle"];
 
-/// Configuration for one red-team search campaign.
+/// Configuration for one red-team search campaign: the search shape
+/// plus the shared supervision knobs, which it derefs to (`rc.jobs`,
+/// `rc.dir`, …).
 #[derive(Debug, Clone)]
 pub struct RedteamConfig {
     /// Base simulation config; `cfg.seed` is the search master seed.
@@ -76,32 +76,21 @@ pub struct RedteamConfig {
     pub requests: u64,
     /// Requests between supervision checks (budgets, stealth sampling).
     pub epoch: u64,
-    /// Per-evaluation wall-clock budget in milliseconds (0 = unlimited).
-    /// Leave at 0 when digest reproducibility matters: wall-clock
-    /// quarantine depends on the host machine.
-    pub wall_budget_ms: u64,
-    /// Per-evaluation simulated-time budget in picoseconds (0 = unlimited).
-    pub sim_budget_ps: u64,
-    /// Worker threads for evaluation (`<= 1` is the exact serial path).
-    pub jobs: usize,
-    /// Campaign directory (journal lives here).
-    pub dir: PathBuf,
-    /// Per-operation I/O retry attempts.
-    pub retries: u32,
-    /// Linear backoff between I/O retries, in milliseconds.
-    pub backoff_ms: u64,
     /// Poison the last `sabotage` slots of generation 0 (alternating
     /// injected panic / 1 ps sim budget) to prove the quarantine path.
     pub sabotage: usize,
-    /// Stop after this many *live* evaluations (kill+resume testing);
-    /// the search reports [`RedteamOutcome::Halted`].
-    pub halt_after: Option<u64>,
-    /// Storage backend (real or fault-injecting).
-    pub io: Arc<dyn CampaignIo>,
+    /// Journal directory, workers, I/O retries, per-evaluation budgets
+    /// (leave the wall-clock one unset when digest reproducibility
+    /// matters: wall-clock quarantine depends on the host machine), and
+    /// `halt_after`, which stops the search after that many *live*
+    /// evaluations with [`RedteamOutcome::Halted`].
+    pub sup: Supervision,
 }
 
+deref_to_supervision!(RedteamConfig);
+
 impl RedteamConfig {
-    /// A search over `defense` rooted at `dir` with the default scale
+    /// A search over `defense` journaled in `dir` with the default scale
     /// (population 16, 8 generations, 24 000 requests per evaluation).
     pub fn new(cfg: SimConfig, defense: DefenseKind, dir: PathBuf) -> RedteamConfig {
         RedteamConfig {
@@ -111,15 +100,11 @@ impl RedteamConfig {
             generations: 8,
             requests: 24_000,
             epoch: 2_048,
-            wall_budget_ms: 0,
-            sim_budget_ps: 0,
-            jobs: 1,
-            dir,
-            retries: 3,
-            backoff_ms: 0,
             sabotage: 0,
-            halt_after: None,
-            io: Arc::new(crate::cio::RealIo),
+            sup: Supervision {
+                dir: Some(dir),
+                ..Supervision::default()
+            },
         }
     }
 }
@@ -166,7 +151,7 @@ pub enum Poison {
 
 /// Runs one genome under the supervision ladder. Never panics and never
 /// aborts the caller: a panicking or budget-exceeding genome comes back
-/// as a quarantined outcome with fitness 0.
+/// as a quarantined outcome with fitness 0. A budget of 0 is unlimited.
 #[allow(clippy::too_many_arguments)] // mirrors the journal's eval-line schema
 pub fn eval_genome(
     cfg: &SimConfig,
@@ -178,46 +163,38 @@ pub fn eval_genome(
     sim_budget_ps: u64,
     poison: Option<Poison>,
 ) -> EvalOutcome {
-    let body = |_attempt: u32| -> Result<EvalOutcome, ShardError> {
+    let body = |_attempt: u32| -> Result<EvalOutcome, CellError> {
         let start = Instant::now();
         let mut sys = System::new(cfg, defense);
         if poison == Some(Poison::Panic) {
             panic!("sabotage: injected genome panic");
         }
         let sim_budget = if poison == Some(Poison::SimBudget) {
-            1
+            Some(1)
         } else {
-            sim_budget_ps
+            (sim_budget_ps > 0).then_some(sim_budget_ps)
         };
+        let wall_budget = (wall_budget_ms > 0).then_some(wall_budget_ms);
         let mut src = genome.source(&cfg.topology);
         let step = epoch.max(1);
         let mut done = 0u64;
         let mut stealth_peak = 0u64;
+        let exhausted = |e: twice_memctrl::resilience::ControllerError| {
+            CellError::RetryExhausted(e.to_string())
+        };
         while done < requests {
             let n = step.min(requests - done);
             for _ in 0..n {
-                sys.feed(src.next_access())
-                    .map_err(|e| ShardError::Invalid(e.to_string()))?;
+                sys.feed(src.next_access()).map_err(exhausted)?;
             }
             done += n;
             if sys.mitigation_activity() == 0 {
                 stealth_peak = sys.peak_disturbance();
             }
-            if wall_budget_ms > 0 && start.elapsed().as_millis() as u64 > wall_budget_ms {
-                return Err(ShardError::WallClockExceeded {
-                    budget_ms: wall_budget_ms,
-                    done,
-                });
-            }
-            if sim_budget > 0 && sys.sim_time().as_ps() > sim_budget {
-                return Err(ShardError::SimTimeExceeded {
-                    budget_ps: sim_budget,
-                    done,
-                });
-            }
+            wall_watchdog(wall_budget, start, done)?;
+            sim_watchdog(sim_budget, &sys, done)?;
         }
-        sys.drain()
-            .map_err(|e| ShardError::Invalid(e.to_string()))?;
+        sys.drain().map_err(exhausted)?;
         if sys.mitigation_activity() == 0 {
             stealth_peak = sys.peak_disturbance();
         }
@@ -236,24 +213,27 @@ pub fn eval_genome(
     };
     // One attempt: evaluations are deterministic and do no I/O, so a
     // failure re-fails; the ladder's value here is catch → quarantine.
-    match Supervisor::new(1, 0).supervise(body, |_, _| {}) {
-        Ok(outcome) => {
-            twice_obs::bump(twice_obs::Ctr::SimRedteamEvals);
-            outcome
-        }
-        Err(err) => {
-            twice_obs::bump(twice_obs::Ctr::SimRedteamEvals);
+    twice_obs::bump(twice_obs::Ctr::SimRedteamEvals);
+    Supervisor::new(1, 0)
+        .supervise(Retry::IoOnly, body, |_, _| {})
+        .unwrap_or_else(|err| {
             twice_obs::bump(twice_obs::Ctr::SimRedteamQuarantined);
-            EvalOutcome {
-                fitness: 0,
-                bit_flips: 0,
-                peak: 0,
-                stealth_peak: 0,
-                triggers: 0,
-                near_miss_permille: 0,
-                digest: 0,
-                quarantined: Some(err.to_string()),
-            }
+            EvalOutcome::quarantined(err.to_string())
+        })
+}
+
+impl EvalOutcome {
+    /// The outcome of a genome whose evaluation failed: fitness 0.
+    fn quarantined(cause: String) -> EvalOutcome {
+        EvalOutcome {
+            fitness: 0,
+            bit_flips: 0,
+            peak: 0,
+            stealth_peak: 0,
+            triggers: 0,
+            near_miss_permille: 0,
+            digest: 0,
+            quarantined: Some(cause),
         }
     }
 }
@@ -359,8 +339,10 @@ pub struct RedteamReport {
     /// Journal lines lost to storage faults (the affected slots rerun
     /// on resume).
     pub journal_dropped: u64,
-    /// Prior-journal lines skipped for failing their CRC seal or
-    /// parsing (their slots were re-evaluated).
+    /// Prior-journal lines salvaged and dropped: the first line that
+    /// failed its CRC seal or did not parse ended the trusted prefix,
+    /// and it and every line after it moved to `journal.corrupt` (their
+    /// slots were re-evaluated).
     pub journal_corrupt: u64,
 }
 
@@ -377,13 +359,14 @@ pub enum RedteamOutcome {
     },
 }
 
-/// Everything the journal remembers about a prior (partial) run.
-#[derive(Debug, Default)]
-struct JournalState {
-    meta_seen: bool,
-    evals: BTreeMap<(u32, usize), EvalOutcome>,
-    gens: BTreeMap<u32, (u64, Vec<PatternGenome>)>,
-    corrupt_lines: u64,
+/// One trusted journal line.
+enum JournalLine {
+    /// The campaign's meta line, and whether it matches this search.
+    Meta { same: bool },
+    /// One evaluation, keyed `(generation, slot)`.
+    Eval(u32, usize, EvalOutcome),
+    /// A completed generation: its digest and the bred next population.
+    Gen(u32, u64, Vec<PatternGenome>),
 }
 
 fn get_u64(fields: &BTreeMap<String, JsonValue>, key: &str) -> Option<u64> {
@@ -438,101 +421,75 @@ fn gen_line(gen: u32, digest: u64, next: &[PatternGenome]) -> String {
     ]))
 }
 
-/// Loads and validates the journal. Corrupt or unsealable lines are
-/// skipped (their slots simply rerun); a meta line from a *different*
-/// campaign is a hard error — resuming someone else's search would
-/// silently corrupt both.
-fn load_journal(rc: &RedteamConfig) -> Result<JournalState, String> {
-    let mut st = JournalState::default();
-    let path = rc.dir.join(REDTEAM_JOURNAL);
-    let bytes = match rc.io.read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(st),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    for raw in String::from_utf8_lossy(&bytes).lines() {
-        if raw.trim().is_empty() {
-            continue;
+/// Decodes one sealed journal line; `None` ends the trusted prefix.
+fn parse_journal_line(rc: &RedteamConfig, line: &str) -> Option<JournalLine> {
+    let fields = parse_line(&unseal_line(line)?).ok()?;
+    let u64_of = |key: &str| get_u64(&fields, key);
+    match get_str(&fields, "kind")? {
+        "meta" => Some(JournalLine::Meta {
+            same: u64_of("version") == Some(REDTEAM_VERSION)
+                && u64_of("seed") == Some(rc.cfg.seed)
+                && get_str(&fields, "defense") == Some(rc.defense.to_string().as_str())
+                && u64_of("population") == Some(rc.population as u64)
+                && u64_of("generations") == Some(u64::from(rc.generations))
+                && u64_of("requests") == Some(rc.requests)
+                && u64_of("epoch") == Some(rc.epoch),
+        }),
+        "eval" => {
+            let quarantined = fields.get("q")?.as_bool()?.then(|| {
+                get_str(&fields, "cause")
+                    .unwrap_or("quarantined (cause lost)")
+                    .to_string()
+            });
+            let outcome = EvalOutcome {
+                fitness: u64_of("fit")?,
+                bit_flips: u64_of("flips")?,
+                peak: u64_of("peak")?,
+                stealth_peak: u64_of("stealth")?,
+                triggers: u64_of("trig")?,
+                near_miss_permille: u32::try_from(u64_of("near")?).ok()?,
+                digest: u64_of("digest")?,
+                quarantined,
+            };
+            let gen = u32::try_from(u64_of("gen")?).ok()?;
+            Some(JournalLine::Eval(
+                gen,
+                usize::try_from(u64_of("slot")?).ok()?,
+                outcome,
+            ))
         }
-        let Some(line) = unseal_line(raw) else {
-            st.corrupt_lines += 1;
-            continue;
-        };
-        let Ok(fields) = parse_line(&line) else {
-            st.corrupt_lines += 1;
-            continue;
-        };
-        match get_str(&fields, "kind") {
-            Some("meta") => {
-                let same = get_u64(&fields, "version") == Some(REDTEAM_VERSION)
-                    && get_u64(&fields, "seed") == Some(rc.cfg.seed)
-                    && get_str(&fields, "defense") == Some(rc.defense.to_string().as_str())
-                    && get_u64(&fields, "population") == Some(rc.population as u64)
-                    && get_u64(&fields, "generations") == Some(u64::from(rc.generations))
-                    && get_u64(&fields, "requests") == Some(rc.requests)
-                    && get_u64(&fields, "epoch") == Some(rc.epoch);
-                if !same {
-                    return Err(format!(
-                        "journal {} belongs to a different campaign (seed/defense/scale mismatch); \
-                         use a fresh --dir or matching flags",
-                        path.display()
-                    ));
-                }
-                st.meta_seen = true;
-            }
-            Some("eval") => {
-                let (Some(gen), Some(slot)) = (get_u64(&fields, "gen"), get_u64(&fields, "slot"))
-                else {
-                    st.corrupt_lines += 1;
-                    continue;
-                };
-                let outcome = EvalOutcome {
-                    fitness: get_u64(&fields, "fit").unwrap_or(0),
-                    bit_flips: get_u64(&fields, "flips").unwrap_or(0),
-                    peak: get_u64(&fields, "peak").unwrap_or(0),
-                    stealth_peak: get_u64(&fields, "stealth").unwrap_or(0),
-                    triggers: get_u64(&fields, "trig").unwrap_or(0),
-                    near_miss_permille: get_u64(&fields, "near").unwrap_or(0) as u32,
-                    digest: get_u64(&fields, "digest").unwrap_or(0),
-                    quarantined: match fields.get("q").and_then(JsonValue::as_bool) {
-                        Some(true) => Some(
-                            get_str(&fields, "cause")
-                                .unwrap_or("quarantined (cause lost)")
-                                .to_string(),
-                        ),
-                        _ => None,
-                    },
-                };
-                st.evals.insert((gen as u32, slot as usize), outcome);
-            }
-            Some("gen") => {
-                let Some(gen) = get_u64(&fields, "gen") else {
-                    st.corrupt_lines += 1;
-                    continue;
-                };
-                let digest = get_u64(&fields, "gen_digest").unwrap_or(0);
-                let next_raw = get_str(&fields, "next").unwrap_or("");
-                let mut next = Vec::new();
-                let mut bad = false;
-                for hex in next_raw.split(',').filter(|s| !s.is_empty()) {
-                    match PatternGenome::from_hex(hex) {
-                        Ok(g) => next.push(g),
-                        Err(_) => bad = true,
-                    }
-                }
-                if bad {
-                    st.corrupt_lines += 1;
-                    continue;
-                }
-                st.gens.insert(gen as u32, (digest, next));
-            }
-            _ => st.corrupt_lines += 1,
+        "gen" => {
+            let next = get_str(&fields, "next")?
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .map(|hex| PatternGenome::from_hex(hex).ok())
+                .collect::<Option<Vec<_>>>()?;
+            let gen = u32::try_from(u64_of("gen")?).ok()?;
+            Some(JournalLine::Gen(gen, u64_of("gen_digest")?, next))
         }
+        _ => None,
     }
-    Ok(st)
+}
+
+/// The deterministic sabotage of generation 0's last `rc.sabotage`
+/// slots.
+fn poison(rc: &RedteamConfig, gen: u32, slot: usize) -> Option<Poison> {
+    let poisoned =
+        gen == 0 && rc.sabotage > 0 && slot >= rc.population - rc.sabotage.min(rc.population);
+    poisoned.then_some(if slot.is_multiple_of(2) {
+        Poison::Panic
+    } else {
+        Poison::SimBudget
+    })
 }
 
 /// Runs (or resumes) the evolutionary search.
+///
+/// The journal is loaded up to its trusted prefix (a corrupt tail moves
+/// to `journal.corrupt` and its slots re-run). A meta line from a
+/// *different* campaign is a hard error — resuming someone else's
+/// search would silently corrupt both — and a journal without one gets
+/// a fresh meta line before any evaluation is appended.
 ///
 /// # Errors
 ///
@@ -542,25 +499,41 @@ fn load_journal(rc: &RedteamConfig) -> Result<JournalState, String> {
 pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
     assert!(rc.population >= 2, "population must be at least 2");
     assert!(rc.generations >= 1, "need at least one generation");
-    rc.io
-        .create_dir_all(&rc.dir)
-        .map_err(|e| format!("cannot create {}: {e}", rc.dir.display()))?;
-    let prior = load_journal(rc)?;
-    let journal_path = rc.dir.join(REDTEAM_JOURNAL);
-    if !prior.meta_seen {
-        with_retries(rc.retries, rc.backoff_ms, || {
-            rc.io.append_line(&journal_path, &meta_line(rc))
-        })
-        .map_err(|e| format!("cannot write journal meta: {e}"))?;
+    let dir = rc.dir.as_deref().unwrap_or(Path::new("."));
+    let (grid, lines) = Grid::open(&rc.sup, REDTEAM_JOURNAL, |line| {
+        parse_journal_line(rc, line)
+    })
+    .map_err(|e| format!("cannot open campaign {}: {e}", dir.display()))?;
+    let mut meta_seen = false;
+    let mut evals = BTreeMap::new();
+    let mut gens = BTreeMap::new();
+    for line in lines {
+        match line {
+            JournalLine::Meta { same: false } => {
+                return Err(format!(
+                    "journal {} belongs to a different campaign (seed/defense/scale mismatch); \
+                     use a fresh --dir or matching flags",
+                    dir.join(REDTEAM_JOURNAL).display()
+                ));
+            }
+            JournalLine::Meta { same: true } => meta_seen = true,
+            JournalLine::Eval(gen, slot, outcome) => {
+                evals.insert((gen, slot), outcome);
+            }
+            JournalLine::Gen(gen, digest, next) => {
+                gens.insert(gen, (digest, next));
+            }
+        }
     }
-    let writer = OrderedJournalWriter::new(
-        rc.io.clone(),
-        journal_path.clone(),
-        rc.retries,
-        rc.backoff_ms,
-    );
+    if !meta_seen {
+        grid.append(&meta_line(rc))
+            .map_err(|e| format!("cannot write journal meta: {e}"))?;
+    }
     let space = GenomeSpace::for_topology(&rc.cfg.topology);
-    let live = AtomicU64::new(0);
+    let slots: Vec<usize> = (0..rc.population).collect();
+    let wall_budget_ms = rc.wall_budget_ms.unwrap_or(0);
+    let sim_budget_ps = rc.sim_budget_ps.unwrap_or(0);
+    let mut live = 0u64;
     let mut cached = 0u64;
     let mut quarantined_total = 0u64;
     let mut summaries = Vec::new();
@@ -568,64 +541,41 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
 
     let mut population = seed_population(&space, rc.cfg.seed, rc.population);
     for gen in 0..rc.generations {
-        let slots: Vec<usize> = (0..rc.population).collect();
-        let results: Vec<Option<EvalOutcome>> = parallel_map(rc.jobs, &slots, |_, &slot| {
-            let index = gen as usize * rc.population + slot;
-            if let Some(outcome) = prior.evals.get(&(gen, slot)) {
-                writer.submit(index, None);
-                return Some(outcome.clone());
-            }
-            if let Some(budget) = rc.halt_after {
-                if live.fetch_add(1, Ordering::SeqCst) >= budget {
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    return None;
-                }
-            } else {
-                live.fetch_add(1, Ordering::SeqCst);
-            }
-            let poison = if gen == 0
-                && rc.sabotage > 0
-                && slot >= rc.population - rc.sabotage.min(rc.population)
-            {
-                Some(if slot % 2 == 0 {
-                    Poison::Panic
-                } else {
-                    Poison::SimBudget
-                })
-            } else {
-                None
-            };
-            let outcome = eval_genome(
-                &rc.cfg,
-                rc.defense,
-                &population[slot],
-                rc.requests,
-                rc.epoch,
-                rc.wall_budget_ms,
-                rc.sim_budget_ps,
-                poison,
-            );
-            writer.submit(
-                index,
-                Some(eval_line(gen, slot, &population[slot], &outcome)),
-            );
-            Some(outcome)
-        });
-        cached += slots
-            .iter()
-            .filter(|&&s| prior.evals.contains_key(&(gen, s)))
-            .count() as u64;
-        if results.iter().any(Option::is_none) {
-            writer.flush_stragglers();
-            return Ok(RedteamOutcome::Halted {
-                evals_live: live.load(Ordering::SeqCst),
-            });
+        let done = grid.run(
+            &slots,
+            Retry::IoOnly,
+            |slot| evals.get(&(gen, *slot)).cloned(),
+            |_, &slot| {
+                Ok(eval_genome(
+                    &rc.cfg,
+                    rc.defense,
+                    &population[slot],
+                    rc.requests,
+                    rc.epoch,
+                    wall_budget_ms,
+                    sim_budget_ps,
+                    poison(rc, gen, slot),
+                ))
+            },
+            |&slot, o| eval_line(gen, slot, &population[slot], o),
+            |_, _| {},
+        );
+        cached += done.iter().filter(|d| d.salvaged).count() as u64;
+        live += done.iter().filter(|d| !d.salvaged).count() as u64;
+        if grid.halted() {
+            return Ok(RedteamOutcome::Halted { evals_live: live });
         }
-        let outcomes: Vec<EvalOutcome> = results.into_iter().map(Option::unwrap).collect();
+        let outcomes: Vec<EvalOutcome> = done
+            .into_iter()
+            .map(|d| {
+                d.result
+                    .unwrap_or_else(|e| EvalOutcome::quarantined(e.to_string()))
+            })
+            .collect();
         let digest = generation_digest(&outcomes);
         let gen_quarantined = outcomes.iter().filter(|o| o.quarantined.is_some()).count() as u64;
         quarantined_total += gen_quarantined;
-        let best_slot = (0..rc.population)
+        let best_slot = (0..outcomes.len())
             .max_by_key(|&i| (outcomes[i].fitness, std::cmp::Reverse(i)))
             .expect("population is non-empty");
         summaries.push(GenSummary {
@@ -640,25 +590,22 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
                 best.push((population[slot].clone(), o.clone()));
             }
         }
-        let next = if let Some((recorded_digest, recorded_next)) = prior.gens.get(&gen) {
-            if *recorded_digest != digest {
+        let next = if let Some((recorded_digest, recorded_next)) = gens.remove(&gen) {
+            if recorded_digest != digest {
                 return Err(format!(
                     "generation {gen} digest {digest:#018x} contradicts journaled \
                      {recorded_digest:#018x}: determinism violation"
                 ));
             }
-            recorded_next.clone()
+            recorded_next
         } else {
             let next = if gen + 1 < rc.generations {
                 breed(&space, &population, &outcomes, rc.cfg.seed, gen)
             } else {
                 Vec::new()
             };
-            with_retries(rc.retries, rc.backoff_ms, || {
-                rc.io
-                    .append_line(&journal_path, &gen_line(gen, digest, &next))
-            })
-            .map_err(|e| format!("cannot journal generation {gen}: {e}"))?;
+            grid.append(&gen_line(gen, digest, &next))
+                .map_err(|e| format!("cannot journal generation {gen}: {e}"))?;
             next
         };
         if gen + 1 < rc.generations {
@@ -675,7 +622,6 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
             population = next;
         }
     }
-    writer.flush_stragglers();
     // Global ranking: fitness-descending, deduplicated by genome bytes.
     best.sort_by(|a, b| {
         b.1.fitness
@@ -684,14 +630,15 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
     });
     let mut seen = std::collections::BTreeSet::new();
     best.retain(|(g, _)| seen.insert(g.encode()));
+    let storage = grid.storage();
     Ok(RedteamOutcome::Completed(RedteamReport {
         generations: summaries,
         best,
-        evals_live: live.load(Ordering::SeqCst),
+        evals_live: live,
         evals_cached: cached,
         quarantined: quarantined_total,
-        journal_dropped: writer.dropped(),
-        journal_corrupt: prior.corrupt_lines,
+        journal_dropped: storage.journal_write_failures,
+        journal_corrupt: storage.salvaged_lines_dropped,
     }))
 }
 
@@ -1091,6 +1038,30 @@ mod tests {
         other.cfg.seed ^= 1;
         let err = redteam_search(&other).unwrap_err();
         assert!(err.contains("different campaign"), "got: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_first_line_cannot_disable_the_foreign_journal_guard() {
+        // A torn meta fragment must be salvaged, not kept: the next
+        // append glued onto it would make the real meta line unreadable,
+        // and any later search would adopt this one's evaluations.
+        let dir = tmp("torn-meta");
+        std::fs::create_dir_all(&dir).unwrap();
+        let fragment = b"{\"kind\":\"me";
+        std::fs::write(dir.join(REDTEAM_JOURNAL), fragment).unwrap();
+        let mut trr = tiny_config(&dir);
+        trr.halt_after = Some(2);
+        match redteam_search(&trr).unwrap() {
+            RedteamOutcome::Halted { evals_live } => assert_eq!(evals_live, 2),
+            other => panic!("expected halt, got {other:?}"),
+        }
+        let mut para = tiny_config(&dir);
+        para.defense = DefenseKind::Para { p: 0.001 };
+        let err = redteam_search(&para).unwrap_err();
+        assert!(err.contains("different campaign"), "got: {err}");
+        let corrupt = std::fs::read(dir.join(crate::grid::JOURNAL_CORRUPT_FILE)).unwrap();
+        assert_eq!(corrupt, fragment, "the fragment is kept for forensics");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

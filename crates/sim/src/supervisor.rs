@@ -1,23 +1,21 @@
-//! Shard supervision: panic isolation and the retry-all ladder.
+//! Cell supervision: panic isolation and the retry → quarantine ladder.
 //!
-//! The fleet runtime (see [`crate::fleet`]) runs O(10³) shard
-//! simulations; any one of them may panic, blow a deadline, or lose its
-//! storage. The campaign supervisor in [`crate::campaign`] retries only
-//! I/O failures, because its grid cells are deterministic: a panicking
-//! cell panics again. Fleet shards are different — they restart from
-//! their *last epoch checkpoint*, so a fault that struck mid-flight
-//! (a torn checkpoint, a transient I/O stall, even a panic whose
-//! trigger state was checkpointed away) can genuinely heal on retry.
-//! The [`Supervisor`] therefore climbs the full ladder for **every**
-//! failure kind: retry with backoff → whole-shard restart from the last
-//! checkpoint → [`ShardError::Quarantined`]. The fleet degrades instead
-//! of aborting; quarantine is the floor, never a crash.
+//! Every fresh cell of a [`crate::grid`] run runs inside
+//! [`Supervisor::supervise`]: `catch_unwind` around each attempt, linear
+//! backoff between attempts, [`CellError::Quarantined`] once the budget
+//! is spent — the run degrades instead of aborting. The driver picks
+//! which failures earn a retry ([`Retry`]): chaos cells and red-team
+//! evaluations are deterministic, so a panic or overrun would just
+//! repeat and only I/O is retried; fleet shards restart from their last
+//! epoch checkpoint, so a fault that struck mid-flight can genuinely
+//! heal and every failure is retried.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
+
+use crate::outcome::CellError;
 
 thread_local! {
     // True while this thread is inside a supervised body. The quiet
@@ -65,68 +63,8 @@ impl Drop for SupervisedScope {
     }
 }
 
-/// Why a shard attempt (or the whole shard) failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// The shard body panicked; the payload is preserved.
-    Panicked(String),
-    /// The host wall-clock budget was exceeded at an epoch boundary.
-    WallClockExceeded {
-        /// The budget that was exceeded, in milliseconds.
-        budget_ms: u64,
-        /// Requests completed when the watchdog fired.
-        done: u64,
-    },
-    /// The simulated-time budget was exceeded at an epoch boundary.
-    SimTimeExceeded {
-        /// The budget that was exceeded, in picoseconds.
-        budget_ps: u64,
-        /// Requests completed when the watchdog fired.
-        done: u64,
-    },
-    /// A checkpoint or journal write kept failing after per-operation
-    /// retries.
-    Io(String),
-    /// The shard could not even be constructed (bad config, controller
-    /// retry exhaustion).
-    Invalid(String),
-    /// Every attempt failed; the shard is out of the fleet. `cause` is
-    /// the final attempt's failure.
-    Quarantined {
-        /// How many attempts were made.
-        attempts: u32,
-        /// The last attempt's failure, rendered.
-        cause: String,
-    },
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::Panicked(msg) => write!(f, "shard panicked: {msg}"),
-            ShardError::WallClockExceeded { budget_ms, done } => {
-                write!(
-                    f,
-                    "wall-clock budget {budget_ms}ms exceeded after {done} requests"
-                )
-            }
-            ShardError::SimTimeExceeded { budget_ps, done } => {
-                write!(
-                    f,
-                    "sim-time budget {budget_ps}ps exceeded after {done} requests"
-                )
-            }
-            ShardError::Io(why) => write!(f, "shard I/O failed: {why}"),
-            ShardError::Invalid(why) => write!(f, "shard invalid: {why}"),
-            ShardError::Quarantined { attempts, cause } => {
-                write!(f, "quarantined after {attempts} attempts: {cause}")
-            }
-        }
-    }
-}
-
-/// Renders a `catch_unwind` payload the way the campaign runner does:
-/// string payloads verbatim, anything else a fixed marker.
+/// Renders a `catch_unwind` payload: string payloads verbatim, anything
+/// else a fixed marker.
 pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
@@ -135,7 +73,18 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The retry-all supervision ladder for one shard.
+/// Which failures earn another attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retry {
+    /// Only [`CellError::Io`]: the cell is deterministic, so any other
+    /// failure would just repeat and passes through unretried.
+    IoOnly,
+    /// Every failure: the cell restarts from its last epoch checkpoint,
+    /// so even a panic or a deadline overrun may heal.
+    All,
+}
+
+/// The retry → quarantine ladder for one cell.
 #[derive(Debug, Clone, Copy)]
 pub struct Supervisor {
     attempts: u32,
@@ -152,26 +101,26 @@ impl Supervisor {
         }
     }
 
-    /// Runs `body` under `catch_unwind` until it succeeds or the
-    /// attempt budget is spent, then quarantines. Every failure kind is
-    /// retried — the body restarts from its last epoch checkpoint, so
-    /// transient faults heal while deterministic ones re-fail and land
-    /// in quarantine with their final cause preserved. `on_retry` is
-    /// called before each re-attempt with the attempt number that just
-    /// failed (so the caller can count first retries on its ledger).
+    /// Runs `body` under `catch_unwind` until it succeeds, fails in a
+    /// way `retry` does not cover, or the attempt budget is spent — then
+    /// quarantines, preserving the final attempt's failure as the
+    /// cause. `on_retry` is called before each re-attempt with the
+    /// attempt number that just failed (so the caller can count first
+    /// retries on its ledger).
     ///
     /// Panics raised inside `body` do not reach the default panic hook:
-    /// they are caught here, converted to [`ShardError::Panicked`], and
+    /// they are caught here, converted to [`CellError::Panicked`], and
     /// reported through the ladder instead of spraying backtraces on
     /// stderr once per attempt.
     pub fn supervise<T>(
         &self,
-        mut body: impl FnMut(u32) -> Result<T, ShardError>,
-        mut on_retry: impl FnMut(u32, &ShardError),
-    ) -> Result<T, ShardError> {
+        retry: Retry,
+        mut body: impl FnMut(u32) -> Result<T, CellError>,
+        mut on_retry: impl FnMut(u32, &CellError),
+    ) -> Result<T, CellError> {
         install_quiet_hook();
-        let mut last = None;
-        for attempt in 1..=self.attempts {
+        let mut attempt = 1;
+        loop {
             let outcome = {
                 let _quiet = SupervisedScope::enter();
                 catch_unwind(AssertUnwindSafe(|| body(attempt)))
@@ -179,23 +128,32 @@ impl Supervisor {
             let err = match outcome {
                 Ok(Ok(value)) => return Ok(value),
                 Ok(Err(e)) => e,
-                Err(payload) => ShardError::Panicked(panic_message(payload)),
+                Err(payload) => CellError::Panicked(panic_message(payload)),
             };
-            if attempt < self.attempts {
-                on_retry(attempt, &err);
-                if self.backoff_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        self.backoff_ms.saturating_mul(u64::from(attempt)),
-                    ));
-                }
+            if retry == Retry::IoOnly && !matches!(err, CellError::Io(_)) {
+                return Err(err);
             }
-            last = Some(err);
+            if attempt >= self.attempts {
+                let cause = match err {
+                    // The bare OS message: `CellError::Io` renders as a
+                    // journal failure, but the write that kept failing is
+                    // as often a checkpoint.
+                    CellError::Io(why) => why,
+                    other => other.to_string(),
+                };
+                return Err(CellError::Quarantined {
+                    attempts: attempt,
+                    cause,
+                });
+            }
+            on_retry(attempt, &err);
+            if self.backoff_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(
+                    self.backoff_ms.saturating_mul(u64::from(attempt)),
+                ));
+            }
+            attempt += 1;
         }
-        let cause = last.expect("at least one attempt ran").to_string();
-        Err(ShardError::Quarantined {
-            attempts: self.attempts,
-            cause,
-        })
     }
 }
 
@@ -206,7 +164,11 @@ mod tests {
     #[test]
     fn first_try_success_never_retries() {
         let mut retries = 0;
-        let out = Supervisor::new(3, 0).supervise(|_| Ok::<_, ShardError>(7), |_, _| retries += 1);
+        let out = Supervisor::new(3, 0).supervise(
+            Retry::All,
+            |_| Ok::<_, CellError>(7),
+            |_, _| retries += 1,
+        );
         assert_eq!(out, Ok(7));
         assert_eq!(retries, 0);
     }
@@ -215,9 +177,10 @@ mod tests {
     fn transient_failures_heal_on_retry() {
         let mut retries = 0;
         let out = Supervisor::new(3, 0).supervise(
+            Retry::All,
             |attempt| {
                 if attempt < 3 {
-                    Err(ShardError::Io("flaky disk".to_string()))
+                    Err(CellError::Io("flaky disk".to_string()))
                 } else {
                     Ok(attempt)
                 }
@@ -232,14 +195,15 @@ mod tests {
     fn panics_are_caught_retried_and_quarantined() {
         let mut attempts_seen = Vec::new();
         let out: Result<(), _> = Supervisor::new(2, 0).supervise(
+            Retry::All,
             |attempt| panic!("injected shard panic on attempt {attempt}"),
             |attempt, err| {
-                assert!(matches!(err, ShardError::Panicked(_)));
+                assert!(matches!(err, CellError::Panicked(_)));
                 attempts_seen.push(attempt);
             },
         );
         match out {
-            Err(ShardError::Quarantined { attempts, cause }) => {
+            Err(CellError::Quarantined { attempts, cause }) => {
                 assert_eq!(attempts, 2);
                 assert!(cause.contains("injected shard panic"), "{cause}");
             }
@@ -250,13 +214,14 @@ mod tests {
 
     #[test]
     fn deadline_overruns_climb_the_full_ladder_too() {
-        // Unlike the campaign supervisor, watchdog failures are retried:
-        // a shard restarting from its checkpoint may fit the budget.
+        // Under `Retry::All` watchdog failures are retried too: a shard
+        // restarting from its checkpoint may fit the budget.
         let mut tries = 0u32;
         let out: Result<(), _> = Supervisor::new(3, 0).supervise(
+            Retry::All,
             |_| {
                 tries += 1;
-                Err(ShardError::SimTimeExceeded {
+                Err(CellError::SimTimeExceeded {
                     budget_ps: 1,
                     done: 128,
                 })
@@ -266,7 +231,7 @@ mod tests {
         assert_eq!(tries, 3);
         assert!(matches!(
             out,
-            Err(ShardError::Quarantined { attempts: 3, .. })
+            Err(CellError::Quarantined { attempts: 3, .. })
         ));
     }
 
@@ -274,9 +239,10 @@ mod tests {
     fn attempt_floor_is_one() {
         let mut tries = 0u32;
         let _ = Supervisor::new(0, 0).supervise(
+            Retry::All,
             |_| -> Result<(), _> {
                 tries += 1;
-                Err(ShardError::Invalid("x".to_string()))
+                Err(CellError::InvalidConfig("x".to_string()))
             },
             |_, _| {},
         );

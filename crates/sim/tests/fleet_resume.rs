@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use twice_sim::fleet::{run_fleet, FleetConfig, FleetReport, FLEET_JOURNAL_FILE};
 use twice_sim::journal::parse_line;
-use twice_sim::supervisor::ShardError;
+use twice_sim::outcome::CellError;
 
 const SHARDS: usize = 24;
 const REQUESTS: u64 = 300;
@@ -43,7 +43,7 @@ fn partition(report: &FleetReport) -> (BTreeMap<usize, u64>, Vec<usize>) {
             Ok(stats) => {
                 digests.insert(shard.index, stats.digest);
             }
-            Err(ShardError::Quarantined { .. }) => quarantined.push(shard.index),
+            Err(CellError::Quarantined { .. }) => quarantined.push(shard.index),
             Err(other) => panic!("shard {} ended abnormally: {other}", shard.index),
         }
     }

@@ -12,12 +12,10 @@
 
 use std::sync::Arc;
 use twice_common::fault::{FaultKind, FaultPlan};
-use twice_sim::campaign::{
-    chaos_campaign, CampaignConfig, CampaignReport, CHECKPOINT_FILE, JOURNAL_CORRUPT_FILE,
-    JOURNAL_FILE,
-};
+use twice_sim::campaign::{chaos_campaign, CampaignConfig, CampaignReport, JOURNAL_FILE};
 use twice_sim::cio::FaultyIo;
 use twice_sim::config::SimConfig;
+use twice_sim::grid::{checkpoint_path, JOURNAL_CORRUPT_FILE};
 use twice_sim::outcome::CellError;
 
 const REQUESTS: u64 = 4_000;
@@ -173,7 +171,7 @@ fn a_corrupt_checkpoint_recomputes_the_cell_instead_of_aborting() {
     // A resume finds a checkpoint too damaged to even frame-parse.
     let dir = temp_dir("ckpt-bad");
     std::fs::create_dir_all(&dir).expect("campaign dir");
-    std::fs::write(dir.join(CHECKPOINT_FILE), b"not a checkpoint at all")
+    std::fs::write(checkpoint_path(&dir, 0), b"not a checkpoint at all")
         .expect("plant the corrupt checkpoint");
     let mut cc = base_config(&dir);
     cc.resume = true;
@@ -270,7 +268,7 @@ fn fresh_runs_sweep_orphans_and_resumes_keep_live_checkpoints() {
     // a parallel per-cell checkpoint, and the shared serial checkpoint.
     std::fs::write(dir.join("cells.tmp"), b"orphaned rename").expect("tmp");
     std::fs::write(dir.join("cell-07.ckpt"), b"stale worker state").expect("stale");
-    std::fs::write(dir.join(CHECKPOINT_FILE), b"stale serial state").expect("stale");
+    std::fs::write(checkpoint_path(&dir, 0), b"stale serial state").expect("stale");
 
     // A fresh run sweeps all three before touching anything.
     let report = chaos_campaign(&cfg, &base_config(&dir)).expect("fresh campaign");
@@ -280,7 +278,7 @@ fn fresh_runs_sweep_orphans_and_resumes_keep_live_checkpoints() {
 
     // A resume sweeps only the temp file: checkpoints are live state.
     std::fs::write(dir.join("cells.tmp"), b"orphaned again").expect("tmp");
-    std::fs::write(dir.join(CHECKPOINT_FILE), b"in-flight state").expect("live");
+    std::fs::write(checkpoint_path(&dir, 0), b"in-flight state").expect("live");
     let mut cc = base_config(&dir);
     cc.resume = true;
     let resumed = chaos_campaign(&cfg, &cc).expect("resumed campaign");
