@@ -12,6 +12,14 @@
 //! The model is deliberately conservative in the same direction as the
 //! paper: disturbance counts are per-victim sums over *both* neighbors
 //! (double-sided hammering adds up), and exceeding `N_th` always flips.
+//!
+//! State is dense per-row arrays, so an ACT costs O(1). Next to them a
+//! bitmap marks the *live* rows, those with non-zero disturbance or a
+//! non-zero emitted-flip count, which are usually a small share of a
+//! bank. Digest, snapshots and restore walk only the live rows, and a
+//! refresh of a row that is not live writes nothing. The bitmap costs
+//! 16 KiB for a paper-size bank of 131,072 rows, against 1.5 MiB of
+//! arrays.
 
 use crate::remap::RemapTable;
 use twice_common::snapshot::{
@@ -40,6 +48,9 @@ pub struct HammerModel {
     /// Bits already flipped in each victim this window (so each victim
     /// is reported once per corruption event, not once per ACT).
     flips_emitted: Vec<u32>,
+    /// One bit per row, set iff the row's `disturbance` or
+    /// `flips_emitted` entry is non-zero.
+    live: Vec<u64>,
     flips: Vec<BitFlip>,
     /// When set, every `interval` of disturbance beyond `N_th` flips an
     /// additional bit (hammer overdrive; used by the ECC experiments).
@@ -69,6 +80,7 @@ impl HammerModel {
             n_th,
             disturbance: vec![0; rows as usize],
             flips_emitted: vec![0; rows as usize],
+            live: vec![0; (rows as usize).div_ceil(64)],
             flips: Vec::new(),
             overshoot_interval: None,
             far_coupling: None,
@@ -143,13 +155,17 @@ impl HammerModel {
     }
 
     fn bump(&mut self, victim: RowId, now: Time) {
-        self.disturbance[victim.index()] += 1;
-        let d = self.disturbance[victim.index()];
+        let i = victim.index();
+        self.disturbance[i] += 1;
+        self.live[i / 64] |= 1 << (i % 64);
+        let d = self.disturbance[i];
         if d > self.peak {
             self.peak = d;
         }
-        while self.flips_emitted[victim.index()] < self.flips_allowed(d) {
-            self.flips_emitted[victim.index()] += 1;
+        // Below `N_th` nothing flips, and the flip count is not read.
+        let allowed = self.flips_allowed(d);
+        while allowed > 0 && self.flips_emitted[i] < allowed {
+            self.flips_emitted[i] += 1;
             self.flips.push(BitFlip {
                 victim,
                 at: now,
@@ -165,9 +181,26 @@ impl HammerModel {
         self.clear(row);
     }
 
+    /// Zeroes `row`. A row that is not live is left untouched, so an
+    /// ACT or refresh on a never-disturbed row writes no array page.
     fn clear(&mut self, row: RowId) {
-        self.disturbance[row.index()] = 0;
-        self.flips_emitted[row.index()] = 0;
+        let i = row.index();
+        let bit = 1 << (i % 64);
+        if self.live[i / 64] & bit != 0 {
+            self.live[i / 64] &= !bit;
+            self.disturbance[i] = 0;
+            self.flips_emitted[i] = 0;
+        }
+    }
+
+    /// Re-derives row `i`'s live bit from the arrays (restore only).
+    fn sync_live(&mut self, i: usize) {
+        let bit = 1 << (i % 64);
+        if self.disturbance[i] != 0 || self.flips_emitted[i] != 0 {
+            self.live[i / 64] |= bit;
+        } else {
+            self.live[i / 64] &= !bit;
+        }
     }
 
     /// Current disturbance of `row`.
@@ -189,7 +222,10 @@ impl HammerModel {
 
     /// The maximum disturbance across all rows (attack-margin metric).
     pub fn max_disturbance(&self) -> u64 {
-        self.disturbance.iter().copied().max().unwrap_or(0)
+        ones(&self.live)
+            .map(|i| self.disturbance[i])
+            .max()
+            .unwrap_or(0)
     }
 
     /// The highest disturbance any row has *ever* reached in this bank.
@@ -203,33 +239,39 @@ impl HammerModel {
     }
 }
 
+/// The indices of the set bits in `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
+// Every encoding below lists the non-zero disturbance rows, then the
+// non-zero emitted-flip rows, each in ascending row order. Walking the
+// live bits yields exactly those rows, so the bytes match a dense scan.
 impl Snapshot for HammerModel {
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.act_counter);
         w.put_u64(self.peak);
         w.put_usize(self.disturbance.len());
-        // Disturbance and emitted-flip vectors are almost entirely zero;
-        // store only the non-zero rows.
-        let nonzero = |v: u64| v != 0;
-        w.put_usize(
-            self.disturbance
-                .iter()
-                .copied()
-                .filter(|&v| nonzero(v))
-                .count(),
-        );
-        for (i, &v) in self.disturbance.iter().enumerate() {
-            if v != 0 {
-                w.put_u32(i as u32);
-                w.put_u64(v);
-            }
+        let disturbed = || ones(&self.live).filter(|&i| self.disturbance[i] != 0);
+        w.put_usize(disturbed().count());
+        for i in disturbed() {
+            w.put_u32(i as u32);
+            w.put_u64(self.disturbance[i]);
         }
-        w.put_usize(self.flips_emitted.iter().filter(|&&v| v != 0).count());
-        for (i, &v) in self.flips_emitted.iter().enumerate() {
-            if v != 0 {
-                w.put_u32(i as u32);
-                w.put_u32(v);
-            }
+        let flipped = || ones(&self.live).filter(|&i| self.flips_emitted[i] != 0);
+        w.put_usize(flipped().count());
+        for i in flipped() {
+            w.put_u32(i as u32);
+            w.put_u32(self.flips_emitted[i]);
         }
         w.put_usize(self.flips.len());
         for f in &self.flips {
@@ -249,17 +291,19 @@ impl Snapshot for HammerModel {
                 self.disturbance.len()
             )));
         }
-        self.disturbance.fill(0);
+        for i in ones(&self.live) {
+            self.disturbance[i] = 0;
+            self.flips_emitted[i] = 0;
+        }
+        self.live.fill(0);
+        let out_of_range = |i: usize| SnapshotError::StateMismatch(format!("row {i} out of range"));
         let n = r.take_usize()?;
         for _ in 0..n {
             let i = r.take_u32()? as usize;
             let v = r.take_u64()?;
-            *self
-                .disturbance
-                .get_mut(i)
-                .ok_or_else(|| SnapshotError::StateMismatch(format!("row {i} out of range")))? = v;
+            *self.disturbance.get_mut(i).ok_or_else(|| out_of_range(i))? = v;
+            self.sync_live(i);
         }
-        self.flips_emitted.fill(0);
         let n = r.take_usize()?;
         for _ in 0..n {
             let i = r.take_u32()? as usize;
@@ -267,7 +311,8 @@ impl Snapshot for HammerModel {
             *self
                 .flips_emitted
                 .get_mut(i)
-                .ok_or_else(|| SnapshotError::StateMismatch(format!("row {i} out of range")))? = v;
+                .ok_or_else(|| out_of_range(i))? = v;
+            self.sync_live(i);
         }
         let n = r.take_usize()?;
         self.flips.clear();
@@ -287,16 +332,16 @@ impl Snapshot for HammerModel {
     fn digest_state(&self, d: &mut StateDigest) {
         d.write_u64(self.act_counter);
         d.write_u64(self.peak);
-        for (i, &v) in self.disturbance.iter().enumerate() {
-            if v != 0 {
+        for i in ones(&self.live) {
+            if self.disturbance[i] != 0 {
                 d.write_u32(i as u32);
-                d.write_u64(v);
+                d.write_u64(self.disturbance[i]);
             }
         }
-        for (i, &v) in self.flips_emitted.iter().enumerate() {
-            if v != 0 {
+        for i in ones(&self.live) {
+            if self.flips_emitted[i] != 0 {
                 d.write_u32(i as u32);
-                d.write_u32(v);
+                d.write_u32(self.flips_emitted[i]);
             }
         }
         d.write_usize(self.flips.len());

@@ -327,9 +327,7 @@ impl ChannelController {
     pub fn submit(&mut self, req: MemRequest, access: DecodedAccess) {
         assert!(self.has_capacity(), "request queue overflow");
         assert!(
-            u8::from(access.rank) < self.cfg.ranks
-                && access.bank < self.cfg.banks_per_rank
-                && access.row.0 < self.cfg.rows_per_bank,
+            self.in_range(&access),
             "decoded access out of range for this channel"
         );
         // Stamp the request with its true enqueue time so latency can be
@@ -347,6 +345,13 @@ impl ChannelController {
             twice_obs::HistId::MemctrlQueueDepth,
             self.queue.len() as u64,
         );
+    }
+
+    /// Whether `access` names a rank, bank and row of this channel.
+    fn in_range(&self, access: &DecodedAccess) -> bool {
+        u8::from(access.rank) < self.cfg.ranks
+            && access.bank < self.cfg.banks_per_rank
+            && access.row.0 < self.cfg.rows_per_bank
     }
 
     /// Runs the controller over a request trace, keeping the queue as
@@ -1059,11 +1064,33 @@ impl Snapshot for ChannelController {
                 self.cfg.queue_capacity
             )));
         }
+        // A restored entry passes the checks `submit` makes, and its id
+        // is unique and already issued: PAR-BS's membership bound relies
+        // on every later arrival having a larger id.
         self.queue.clear();
         for _ in 0..queued {
-            self.queue.push(load_queued(r)?);
+            let q = load_queued(r)?;
+            if !self.in_range(&q.access) {
+                return Err(SnapshotError::StateMismatch(format!(
+                    "queued request {} is out of range for this channel",
+                    q.id
+                )));
+            }
+            if self.queue.iter().any(|o| o.id == q.id) {
+                return Err(SnapshotError::StateMismatch(format!(
+                    "queued request id {} appears twice",
+                    q.id
+                )));
+            }
+            self.queue.push(q);
         }
         self.next_id = r.take_u64()?;
+        if let Some(q) = self.queue.iter().find(|q| q.id >= self.next_id) {
+            return Err(SnapshotError::StateMismatch(format!(
+                "queued request id {} is not below the next id {}",
+                q.id, self.next_id
+            )));
+        }
         self.now = Time::from_ps(r.take_u64()?);
         let banks = r.take_usize()?;
         if banks != self.next_ref.len() {
@@ -1446,6 +1473,40 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err:?}");
         let _ = a.service_one();
+    }
+
+    #[test]
+    fn snapshot_rejects_queued_requests_submit_would_refuse() {
+        let mapper = AddressMapper::row_interleaved(&small_topo());
+        let queued = || {
+            let mut c = ChannelController::without_defense(ControllerConfig::for_test(64));
+            for i in 0..4u32 {
+                let (req, access) = req(&mapper, 0, i, 0);
+                c.submit(req, access);
+            }
+            c
+        };
+        let restore = |c: &ChannelController| {
+            let mut w = SnapshotWriter::new();
+            c.save_state(&mut w);
+            let blob = w.finish();
+            let mut b = ChannelController::without_defense(ControllerConfig::for_test(64));
+            b.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
+        };
+        restore(&queued()).expect("an untampered blob restores");
+        let tampered: [fn(&mut ChannelController); 5] = [
+            |c| c.queue[0].access.rank = RankId(7),
+            |c| c.queue[1].access.bank = 2,
+            |c| c.queue[2].access.row = RowId(64),
+            |c| c.queue[3].id = c.queue[0].id,
+            |c| c.queue[0].id = c.next_id,
+        ];
+        for tamper in tampered {
+            let mut c = queued();
+            tamper(&mut c);
+            let err = restore(&c).unwrap_err();
+            assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! newer requests, which bounds inter-thread interference. Within a batch
 //! (and for the simpler policies) the classic **FR-FCFS** rule applies:
 //! row-buffer hits first, then oldest first.
+//!
+//! A pick is one pass over the queue. PAR-BS tests batch membership
+//! with a per-source id bound set when the batch forms, and forming a
+//! batch takes one more pass that keeps each source's oldest ids (see
+//! [`ParBs`]).
 
 use crate::addrmap::DecodedAccess;
 use crate::request::MemRequest;
@@ -126,18 +131,46 @@ impl Scheduler for FrFcfs {
 
 /// Parallelism-aware batch scheduling.
 ///
-/// The batch is a sorted id vector rather than a hash set: ids are
-/// assigned monotonically, batch formation walks the queue in id order
-/// (so pushes arrive pre-sorted), and membership checks become binary
-/// searches over a handful of contiguous words. The snapshot encoding —
-/// length then ascending ids — is byte-identical to the old set-based
-/// one, which serialized sorted.
+/// A batch takes each source's `batch_cap` oldest queued requests, and
+/// every later arrival carries a larger id. So a source's batch members
+/// are exactly its queued requests with `id < limit[source]`, where the
+/// limit is one past the newest id the source was granted when the
+/// batch formed: completions leave it exact, and arrivals fall past it.
+/// Membership costs one table load per queued request.
+///
+/// The ascending id vector `batch` stays as the snapshot and digest
+/// encoding (length, then ascending ids) and tells when the batch has
+/// drained. A restored batch may name ids that are no longer queued;
+/// the first pick after a restore drops them, as a per-pick sweep did
+/// before, and derives the limits from what remains.
 #[derive(Debug, Clone)]
 pub struct ParBs {
     batch_cap: usize,
     batch: Vec<u64>,
-    /// Scratch for batch formation: per-source grant counts.
-    per_source: Vec<(u16, usize)>,
+    /// Membership bound per source, indexed by source; sources past the
+    /// end have no members.
+    limit: Vec<u64>,
+    membership: Membership,
+    /// Scratch for batch formation: each queued source and how many of
+    /// its ids `oldest` holds.
+    grants: Vec<(u16, usize)>,
+    /// Scratch for batch formation: `batch_cap` slots per grant, holding
+    /// that source's oldest ids in ascending order.
+    oldest: Vec<u64>,
+}
+
+/// How [`ParBs`] decides whether a queued request is in the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Membership {
+    /// `id < limit[source]`.
+    Limits,
+    /// `load_state` replaced the batch; the next pick re-derives the
+    /// limits from the queue.
+    Restored,
+    /// A restored batch that is not each source's oldest queued
+    /// requests, which only a hand-made snapshot holds: search `batch`
+    /// until it drains.
+    Search,
 }
 
 impl ParBs {
@@ -152,36 +185,100 @@ impl ParBs {
         ParBs {
             batch_cap,
             batch: Vec::new(),
-            per_source: Vec::new(),
+            limit: Vec::new(),
+            membership: Membership::Limits,
+            grants: Vec::new(),
+            oldest: Vec::new(),
         }
     }
 
-    fn contains(&self, id: u64) -> bool {
-        self.batch.binary_search(&id).is_ok()
+    fn limit_of(&mut self, source: u16) -> &mut u64 {
+        let s = usize::from(source);
+        if self.limit.len() <= s {
+            self.limit.resize(s + 1, 0);
+        }
+        &mut self.limit[s]
     }
 
     fn form_batch(&mut self, queue: &[QueuedRequest]) {
-        // Up to `batch_cap` oldest requests per source. The queue is not
-        // id-sorted, so gather (id, source) pairs and order them; the
-        // pass then grants in arrival order and the batch comes out
-        // sorted for free.
-        let mut order: Vec<(u64, u16)> = queue.iter().map(|q| (q.id, q.req.source)).collect();
-        order.sort_unstable();
-        self.per_source.clear();
-        for (id, source) in order {
-            let n = match self.per_source.iter_mut().find(|(s, _)| *s == source) {
-                Some((_, n)) => n,
+        // One pass over the (unsorted) queue: each source's grant keeps
+        // its `cap` oldest ids, ascending.
+        let cap = self.batch_cap;
+        self.grants.clear();
+        self.oldest.clear();
+        for q in queue {
+            let slot = match self.grants.iter().position(|&(s, _)| s == q.req.source) {
+                Some(slot) => slot,
                 None => {
-                    self.per_source.push((source, 0));
-                    &mut self.per_source.last_mut().expect("just pushed").1
+                    self.grants.push((q.req.source, 0));
+                    self.oldest.resize(self.oldest.len() + cap, 0);
+                    self.grants.len() - 1
                 }
             };
-            if *n < self.batch_cap {
-                *n += 1;
-                self.batch.push(id);
+            let kept = &mut self.grants[slot].1;
+            let ids = &mut self.oldest[slot * cap..][..cap];
+            if *kept == cap && q.id >= ids[cap - 1] {
+                continue;
+            }
+            let at = ids[..*kept].partition_point(|&id| id < q.id);
+            *kept = (*kept + 1).min(cap);
+            ids.copy_within(at..*kept - 1, at + 1);
+            ids[at] = q.id;
+        }
+        // A source with nothing queued keeps its old limit: its requests
+        // below it have all completed, and later arrivals get larger ids.
+        self.batch.clear();
+        for slot in 0..self.grants.len() {
+            let (source, kept) = self.grants[slot];
+            let ids = &self.oldest[slot * cap..][..kept];
+            self.batch.extend_from_slice(ids);
+            // Ids stay below `u64::MAX`: the controller's counter
+            // cannot reach it.
+            let newest = ids[kept - 1];
+            *self.limit_of(source) = newest + 1;
+        }
+        self.batch.sort_unstable();
+        self.membership = Membership::Limits;
+    }
+
+    /// Drops restored ids that are no longer queued and derives the
+    /// limits from the rest.
+    fn adopt_restored(&mut self, queue: &[QueuedRequest]) {
+        self.batch.retain(|id| queue.iter().any(|q| q.id == *id));
+        self.limit.fill(0);
+        for q in queue {
+            if self.batch.binary_search(&q.id).is_ok() {
+                let limit = self.limit_of(q.req.source);
+                *limit = (*limit).max(q.id.saturating_add(1));
             }
         }
-        debug_assert!(self.batch.windows(2).all(|w| w[0] < w[1]));
+        let exact = queue
+            .iter()
+            .all(|q| self.within_limit(q) == self.batch.binary_search(&q.id).is_ok());
+        self.membership = if exact {
+            Membership::Limits
+        } else {
+            Membership::Search
+        };
+    }
+
+    fn within_limit(&self, q: &QueuedRequest) -> bool {
+        self.limit
+            .get(usize::from(q.req.source))
+            .is_some_and(|&limit| q.id < limit)
+    }
+
+    fn pick_member(
+        &self,
+        queue: &[QueuedRequest],
+        open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
+    ) -> Option<usize> {
+        match self.membership {
+            Membership::Search => {
+                pick_fr_fcfs(queue, open_row, |q| self.batch.binary_search(&q.id).is_ok())
+            }
+            _ => pick_fr_fcfs(queue, open_row, |q| self.within_limit(q)),
+        }
     }
 }
 
@@ -198,14 +295,19 @@ impl Scheduler for ParBs {
         if queue.is_empty() {
             return None;
         }
-        // Drop completed ids lazily and re-batch when the batch drains.
-        // Queues are short (bounded by the controller's queue depth), so
-        // a linear membership scan beats building a hash set per pick.
-        self.batch.retain(|id| queue.iter().any(|q| q.id == *id));
+        if self.membership == Membership::Restored {
+            self.adopt_restored(queue);
+        }
         if self.batch.is_empty() {
             self.form_batch(queue);
         }
-        pick_fr_fcfs(queue, open_row, |q| self.contains(q.id))
+        self.pick_member(queue, open_row).or_else(|| {
+            // Every batch id left the queue without `on_complete`, which
+            // the controller never does: start a new batch.
+            self.batch.clear();
+            self.form_batch(queue);
+            self.pick_member(queue, open_row)
+        })
     }
 
     fn on_complete(&mut self, id: u64) {
@@ -223,6 +325,7 @@ impl Scheduler for ParBs {
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.membership = Membership::Restored;
         let n = r.take_usize()?;
         self.batch.clear();
         for _ in 0..n {
@@ -242,34 +345,31 @@ impl Scheduler for ParBs {
     }
 }
 
-/// One pass over the queue tracking all three FR-FCFS preference tiers
-/// at once: oldest eligible row hit, oldest eligible, oldest overall
-/// (the fallback when the eligibility filter matches nothing).
+/// One pass over the eligible requests: the oldest row hit, else the
+/// oldest. `open_row` is asked only about a request that would beat the
+/// best hit so far. Strict comparisons keep the lowest index among
+/// equal ids.
 fn pick_fr_fcfs(
     queue: &[QueuedRequest],
     open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
     eligible: impl Fn(&QueuedRequest) -> bool,
 ) -> Option<usize> {
     let mut hit: Option<(u64, usize)> = None;
-    let mut elig: Option<(u64, usize)> = None;
-    let mut any: Option<(u64, usize)> = None;
+    let mut first: Option<(u64, usize)> = None;
     for (i, q) in queue.iter().enumerate() {
-        let key = (q.id, i);
-        if any.is_none_or(|b| key < b) {
-            any = Some(key);
+        if !eligible(q) {
+            continue;
         }
-        if eligible(q) {
-            if elig.is_none_or(|b| key < b) {
-                elig = Some(key);
-            }
-            if open_row(q.access.rank, q.access.bank) == Some(q.access.row)
-                && hit.is_none_or(|b| key < b)
-            {
-                hit = Some(key);
-            }
+        if first.is_none_or(|(id, _)| q.id < id) {
+            first = Some((q.id, i));
+        }
+        if hit.is_none_or(|(id, _)| q.id < id)
+            && open_row(q.access.rank, q.access.bank) == Some(q.access.row)
+        {
+            hit = Some((q.id, i));
         }
     }
-    hit.or(elig).or(any).map(|(_, i)| i)
+    hit.or(first).map(|(_, i)| i)
 }
 
 fn oldest(queue: &[QueuedRequest], pred: impl Fn(&QueuedRequest) -> bool) -> Option<usize> {
@@ -346,6 +446,15 @@ mod tests {
         let queue = vec![q(1, 0, 0, 10), q(2, 0, 0, 20)];
         let open = |_: RankId, _: u16| Some(RowId(20));
         assert_eq!(s.pick(&queue, &open), Some(1));
+    }
+
+    #[test]
+    fn parbs_picks_while_requests_are_queued_even_without_on_complete() {
+        let mut s = ParBs::new(1);
+        assert_eq!(s.pick(&[q(1, 0, 0, 1), q(2, 0, 0, 2)], &no_open), Some(0));
+        // Id 1 leaves the queue unannounced, so the batch names only a
+        // request that is gone; the pick must still serve id 2.
+        assert_eq!(s.pick(&[q(2, 0, 0, 2)], &no_open), Some(0));
     }
 
     #[test]
