@@ -6,73 +6,53 @@
 //! queue-to-completion latency in a logarithmic histogram — constant
 //! memory, fast insert, and accurate enough percentiles at the tail,
 //! where the spikes live.
+//!
+//! The histogram is a [`Log2Hist`] over picoseconds: its buckets,
+//! quantile rule and merge are the workspace's one implementation. This
+//! module types them in [`Span`] and gives them a snapshot codec.
 
-use std::fmt;
 use twice_common::snapshot::{
     Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
 };
 use twice_common::Span;
-
-/// Number of log2 buckets: covers 1 ps .. ~2^63 ps.
-const BUCKETS: usize = 64;
+use twice_obs::{Log2Hist, BUCKETS};
 
 /// A log2-bucketed latency histogram.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
-    total: u64,
-    max: Span,
-    sum_ps: u128,
-}
+#[derive(Debug, Clone, Default)]
+pub struct LatencyHistogram(Log2Hist);
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> LatencyHistogram {
-        LatencyHistogram {
-            counts: [0; BUCKETS],
-            total: 0,
-            max: Span::ZERO,
-            sum_ps: 0,
-        }
+        LatencyHistogram(Log2Hist::new())
     }
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: Span) {
-        let ps = latency.as_ps();
-        let bucket = (64 - ps.leading_zeros()) as usize; // 0 for ps == 0
-        self.counts[bucket.min(BUCKETS - 1)] += 1;
-        self.total += 1;
-        self.sum_ps += u128::from(ps);
-        if latency > self.max {
-            self.max = latency;
-        }
+        self.0.record(latency.as_ps());
     }
 
     /// Number of samples.
     #[inline]
     pub fn len(&self) -> u64 {
-        self.total
+        self.0.count()
     }
 
     /// Whether no samples were recorded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.0.is_empty()
     }
 
     /// Largest recorded latency (exact).
     #[inline]
     pub fn max(&self) -> Span {
-        self.max
+        Span::from_ps(self.0.max())
     }
 
-    /// Mean latency (exact).
+    /// Mean latency (exact, rounded down to a picosecond).
     pub fn mean(&self) -> Span {
-        if self.total == 0 {
-            Span::ZERO
-        } else {
-            Span::from_ps((self.sum_ps / u128::from(self.total)) as u64)
-        }
+        Span::from_ps(self.0.mean())
     }
 
     /// The latency at quantile `q` (0..=1), resolved to the upper edge of
@@ -82,39 +62,12 @@ impl LatencyHistogram {
     ///
     /// Panics if `q` is not within `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Span {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return Span::ZERO;
-        }
-        let rank = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                if bucket == 0 {
-                    return Span::ZERO;
-                }
-                let upper = if bucket >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << bucket) - 1
-                };
-                return Span::from_ps(upper).min(self.max);
-            }
-        }
-        self.max
+        Span::from_ps(self.0.quantile_bounds(q).1)
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ps += other.sum_ps;
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.0.merge(&other.0);
     }
 }
 
@@ -122,23 +75,23 @@ impl Snapshot for LatencyHistogram {
     fn save_state(&self, w: &mut SnapshotWriter) {
         // Only the occupied buckets: most runs populate a handful of the
         // 64 log2 bins.
-        let occupied = self.counts.iter().filter(|&&c| c != 0).count();
-        w.put_usize(occupied);
-        for (bucket, &count) in self.counts.iter().enumerate() {
+        let counts = self.0.buckets();
+        w.put_usize(counts.iter().filter(|&&c| c != 0).count());
+        for (bucket, &count) in counts.iter().enumerate() {
             if count != 0 {
                 w.put_u8(bucket as u8);
                 w.put_u64(count);
             }
         }
-        w.put_u64(self.total);
-        w.put_u64(self.max.as_ps());
+        w.put_u64(self.0.count());
+        w.put_u64(self.0.max());
         // u128 as two u64 halves, low first.
-        w.put_u64(self.sum_ps as u64);
-        w.put_u64((self.sum_ps >> 64) as u64);
+        w.put_u64(self.0.sum() as u64);
+        w.put_u64((self.0.sum() >> 64) as u64);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.counts = [0; BUCKETS];
+        let mut counts = [0; BUCKETS];
         let occupied = r.take_usize()?;
         for _ in 0..occupied {
             let bucket = usize::from(r.take_u8()?);
@@ -147,53 +100,35 @@ impl Snapshot for LatencyHistogram {
                     "latency bucket {bucket} out of {BUCKETS}"
                 )));
             }
-            self.counts[bucket] = r.take_u64()?;
+            counts[bucket] = r.take_u64()?;
         }
-        self.total = r.take_u64()?;
-        self.max = Span::from_ps(r.take_u64()?);
+        let total = r.take_u64()?;
+        let max = r.take_u64()?;
         let lo = r.take_u64()?;
         let hi = r.take_u64()?;
-        self.sum_ps = u128::from(lo) | (u128::from(hi) << 64);
+        let sum = u128::from(lo) | (u128::from(hi) << 64);
+        self.0 = Log2Hist::from_raw_parts(counts, total, sum, max);
         Ok(())
     }
 
     fn digest_state(&self, d: &mut StateDigest) {
-        for (bucket, &count) in self.counts.iter().enumerate() {
+        for (bucket, &count) in self.0.buckets().iter().enumerate() {
             if count != 0 {
                 d.write_u8(bucket as u8);
                 d.write_u64(count);
             }
         }
-        d.write_u64(self.total);
-        d.write_u64(self.max.as_ps());
-        d.write_u64(self.sum_ps as u64);
-        d.write_u64((self.sum_ps >> 64) as u64);
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
-    }
-}
-
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={} p50<={} p99<={} max={}",
-            self.total,
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.99),
-            self.max
-        )
+        d.write_u64(self.0.count());
+        d.write_u64(self.0.max());
+        d.write_u64(self.0.sum() as u64);
+        d.write_u64((self.0.sum() >> 64) as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twice_common::snapshot::{digest_of, restore_from, snapshot_bytes};
 
     #[test]
     fn empty_histogram_is_zeroes() {
@@ -259,5 +194,33 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn bad_quantile_panics() {
         LatencyHistogram::new().quantile(1.5);
+    }
+
+    /// The controller digests and snapshots this histogram, so its bytes
+    /// are part of every `System` digest and checkpoint. The samples hit
+    /// bucket 0, a middle bucket and bucket 63, and two `u64::MAX`
+    /// samples push the u128 sum past 64 bits.
+    #[test]
+    fn snapshot_and_digest_bytes_are_pinned() {
+        let mut h = LatencyHistogram::new();
+        for ps in [0, 100_000, 1u64 << 62, u64::MAX, u64::MAX] {
+            h.record(Span::from_ps(ps));
+        }
+        let bytes = snapshot_bytes(&h);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "5457435301000303000000000000000100030100000000000000011103010000\
+             0000000000013f03030000000000000003050000000000000003ffffffffffff\
+             ffff039e86010000000040030200000000000000889cd7516322da97"
+        );
+        assert_eq!(digest_of(&h), 0xad29_aec8_15ad_bf71);
+        assert_eq!(digest_of(&LatencyHistogram::new()), 0xdd45_7f17_9c50_0175);
+
+        let mut back = LatencyHistogram::new();
+        restore_from(&mut back, &bytes).expect("pinned bytes restore");
+        assert_eq!(snapshot_bytes(&back), bytes);
+        assert_eq!(back.quantile(0.5), Span::from_ps(u64::MAX));
+        assert_eq!(back.mean(), Span::from_ps(8_301_034_833_169_318_226));
     }
 }

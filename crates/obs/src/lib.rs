@@ -323,6 +323,23 @@ impl Log2Hist {
         }
     }
 
+    /// Rebuilds a histogram from the raw parts a snapshot codec saved:
+    /// bucket counts, sample count, exact sum and exact max. The parts
+    /// are taken as given.
+    pub const fn from_raw_parts(
+        counts: [u64; BUCKETS],
+        total: u64,
+        sum: u128,
+        max: u64,
+    ) -> Log2Hist {
+        Log2Hist {
+            counts,
+            total,
+            sum,
+            max,
+        }
+    }
+
     /// The bucket index of `v`.
     #[inline]
     fn bucket_of(v: u64) -> usize {

@@ -1,9 +1,10 @@
 //! `twice-exp`: run TWiCe-reproduction experiments from the command line.
 //!
 //! ```console
-//! $ twice-exp tables                      # Tables 2-4, bound, storage, sweeps
+//! $ twice-exp tables                      # Tables 2-4, bound, storage, ablations
 //! $ twice-exp fig7a --requests 250000     # Figure 7(a) at paper scale
 //! $ twice-exp fig7b --requests 1500000    # Figure 7(b) at paper scale
+//! $ twice-exp fig7x --requests 250000     # every defense on S1 and S3
 //! $ twice-exp table1 --requests 40000     # measured defense comparison
 //! $ twice-exp attack --defense twice      # an S3 confrontation
 //! $ twice-exp capacity                    # the 4.4 bound
@@ -13,7 +14,6 @@
 //! $ twice-exp fleet --shards 1000 --jobs 8 --journal out/  # fleet run
 //! $ twice-exp fleet --shards 64 --device-faults 9 --journal out/
 //! $ twice-exp profile --obs-out trace.json  # instrumented cell + trace
-//! $ twice-exp bench --jobs 4                # timing + BENCH_3.json
 //! $ twice-exp trace record --workload mica --file m.twt2   # binary trace
 //! $ twice-exp trace replay --file m.twt2 --defense twice   # digest-faithful
 //! $ twice-exp trace verify --file m.twt2    # salvage report, exit 0/4/2
@@ -52,9 +52,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 use twice::cost::TwiceCostModel;
-use twice::{TableOrganization, TwiceParams};
+use twice::TwiceParams;
 use twice_mitigations::DefenseKind;
 use twice_sim::campaign::CampaignConfig;
 use twice_sim::cio::StorageSummary;
@@ -362,18 +361,17 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: twice-exp <command> [--requests N] [--defense NAME]\n\
          commands:\n\
-         \x20 tables    print every computational table (2,3,4, bound, storage, sweeps)\n\
+         \x20 tables    print every computational table (2,3,4, bound, storage, ablations)\n\
          \x20 table1    measured defense comparison (scaled system)\n\
          \x20 fig7a     Figure 7(a) sweep at paper scale\n\
          \x20 fig7b     Figure 7(b) sweep at paper scale\n\
+         \x20 fig7x     extended sweep: every defense on S1 and S3 at paper scale\n\
          \x20 capacity  the 4.4 capacity bound\n\
          \x20 latency   ACT-latency spike comparison (S3 + S2)\n\
          \x20 ecc       ECC scrubbing fault experiment\n\
          \x20 attack    S3 confrontation on the scaled system\n\
          \x20 chaos     fault-injection campaign (SEU sweep + bus gauntlet)\n\
          \x20 fleet     supervised many-shard fleet (multi-tenant blend, quarantine)\n\
-         \x20 bench     time table1 serial vs --jobs and each table variant's hot\n\
-         \x20           path; write BENCH_3.json with the obs counter map\n\
          \x20 profile   run one instrumented cell ([--workload NAME] [--defense NAME])\n\
          \x20           and write a chrome://tracing trace to --obs-out\n\
          \x20 redteam   supervised adversarial search: evolve hammer-pattern genomes\n\
@@ -382,8 +380,6 @@ fn usage() -> ExitCode {
          \x20           champions into a regression corpus with --corpus DIR\n\
          \x20   redteam verify  replay a corpus against EVERY defense and diff the\n\
          \x20                   hold/break outcomes against the sealed manifest\n\
-         \x20 record    write a v1 text workload trace (--workload NAME --file PATH)\n\
-         \x20 replay    replay a v1 text trace (--file PATH [--defense NAME])\n\
          \x20 trace     binary (twice-trace v2) trace ecosystem; subcommands:\n\
          \x20   trace record  encode a workload (--workload NAME --file PATH [--requests N])\n\
          \x20   trace replay  salvage-decode and replay (--file PATH [--defense NAME])\n\
@@ -726,193 +722,6 @@ fn run_profile(args: &Args) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Times one table organization's engine hot path directly: a
-/// deterministic pseudo-random row stream into `on_activate`, with a
-/// prune across all banks every `max_act` ACTs — the TWiCe per-ACT work
-/// with no simulator around it, so the table layout is what the clock
-/// sees. Returns (wall seconds, anti-DCE sink).
-fn bench_table_variant(org: TableOrganization, acts: u64) -> (f64, u64) {
-    use twice::TwiceEngine;
-    use twice_common::rng::SplitMix64;
-    use twice_common::{BankId, RowHammerDefense, RowId, Time};
-    const BANKS: u32 = 4;
-    let params = TwiceParams::fast_test();
-    let max_act = params.max_act();
-    let mut engine = TwiceEngine::with_organization(params, BANKS, org);
-    let mut rng = SplitMix64::new(0xB311C4);
-    let mut sink = 0u64;
-    let start = Instant::now();
-    for step in 0..acts {
-        if step > 0 && step.is_multiple_of(max_act) {
-            for b in 0..BANKS {
-                sink ^= engine
-                    .on_auto_refresh(BankId(b), Time::ZERO)
-                    .refresh_rows
-                    .len() as u64;
-            }
-        }
-        let bank = BankId(rng.next_below(u64::from(BANKS)) as u32);
-        let row = RowId(rng.next_below(4_096) as u32);
-        sink ^= engine
-            .on_activate(bank, row, Time::ZERO)
-            .arr
-            .map_or(0, |r| u64::from(r.0));
-    }
-    (start.elapsed().as_secs_f64(), sink)
-}
-
-/// `twice-exp bench`: times Table 1 serial vs pooled, then each table
-/// organization's engine hot path in isolation, and records the perf
-/// data point (`BENCH_3.json`, overridable via `--file`) with the obs
-/// counter map and per-span phase totals for the pooled pass.
-/// Requests come from `--requests`, then `TWICE_BENCH_REQUESTS`, then
-/// 40 000. The two tables must render identically — the bench doubles
-/// as a serial-equivalence smoke test. A speedup is only computed (and
-/// only printed) when the parallel job count actually differs from the
-/// serial pass; `serial_jobs`/`parallel_jobs` are recorded separately
-/// so the file can never claim a speedup between two identical runs.
-/// `soa_acts_per_sec` is the *slowest* table organization's hot-path
-/// throughput — the honest floor a regression guard can compare.
-fn run_bench(args: &Args) -> Result<ExitCode, CliError> {
-    let requests = args
-        .requests
-        .or_else(|| {
-            std::env::var("TWICE_BENCH_REQUESTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(40_000);
-    let serial_jobs = 1usize;
-    let parallel_jobs = args.jobs();
-    let cfg = SimConfig::fast_test();
-    let serial_start = Instant::now();
-    let (serial_table, _) = table1::table1_jobs(&cfg, requests, serial_jobs);
-    let serial_secs = serial_start.elapsed().as_secs_f64();
-    // The counter map and phase totals are scoped to the pooled pass —
-    // the pass whose wall time produces `acts_per_sec`.
-    twice_obs::reset();
-    let pooled_start = Instant::now();
-    let (pooled_table, cells) = table1::table1_jobs(&cfg, requests, parallel_jobs);
-    let pooled_secs = pooled_start.elapsed().as_secs_f64();
-    let snapshot = twice_obs::snapshot();
-    if pooled_table.to_string() != serial_table.to_string() {
-        return Err(CliError::failure(
-            "bench",
-            "table1",
-            format!("--jobs {parallel_jobs} table diverged from the serial run"),
-        ));
-    }
-    let speedup = (parallel_jobs != serial_jobs).then(|| serial_secs / pooled_secs.max(1e-9));
-    // Absolute throughput: total activations simulated by the pooled
-    // pass over its wall time, so BENCH_N.json files are comparable
-    // across machines and request budgets, not just to their own
-    // serial baseline.
-    let acts: u64 = cells
-        .iter()
-        .filter_map(|c| c.result.as_ref().ok())
-        .map(|c| c.acts)
-        .sum();
-    let acts_per_sec = (acts as f64 / pooled_secs.max(1e-9)).round() as u64;
-    // Hot-path throughput per table organization. The budget scales
-    // with the request budget so CI smoke runs stay quick, with a floor
-    // that keeps the measurement out of timer-noise territory.
-    let variant_acts = (requests * 25).max(1_000_000);
-    const VARIANT_ORGS: [TableOrganization; 3] = [
-        TableOrganization::FullyAssociative,
-        TableOrganization::PseudoAssociative,
-        TableOrganization::Split,
-    ];
-    let variants: Vec<(&'static str, f64, u64)> = VARIANT_ORGS
-        .into_iter()
-        .map(|org| {
-            let (secs, _sink) = bench_table_variant(org, variant_acts);
-            let aps = (variant_acts as f64 / secs.max(1e-9)).round() as u64;
-            (org.label(), secs, aps)
-        })
-        .collect();
-    let soa_acts_per_sec = variants
-        .iter()
-        .map(|(_, _, aps)| *aps)
-        .min()
-        .expect("three table variants");
-    let path = args.file.clone().unwrap_or_else(|| "BENCH_3.json".into());
-    let counters: Vec<String> = twice_obs::Ctr::ALL
-        .into_iter()
-        .filter(|c| snapshot.counter(*c) > 0)
-        .map(|c| format!("    \"{}\": {}", c.name(), snapshot.counter(c)))
-        .collect();
-    let phases: Vec<String> = twice_obs::SpanId::ALL
-        .into_iter()
-        .filter(|s| snapshot.span_hist(*s).count() > 0)
-        .map(|s| {
-            let h = snapshot.span_hist(s);
-            format!(
-                "    \"{}\": {{ \"count\": {}, \"total_ns\": {} }}",
-                s.name(),
-                h.count(),
-                h.sum()
-            )
-        })
-        .collect();
-    let speedup_field = speedup
-        .map(|s| format!("  \"speedup\": {s:.2},\n"))
-        .unwrap_or_default();
-    let variant_rows: Vec<String> = variants
-        .iter()
-        .map(|(label, secs, aps)| {
-            format!(
-                "    {{ \"table_variant\": \"{label}\", \"acts\": {variant_acts}, \
-                 \"secs\": {secs:.3}, \"acts_per_sec\": {aps} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"twice-bench-3\",\n  \"experiment\": \"table1\",\n  \
-         \"requests\": {requests},\n  \"serial_jobs\": {serial_jobs},\n  \
-         \"parallel_jobs\": {parallel_jobs},\n  \
-         \"serial_secs\": {serial_secs:.3},\n  \"parallel_secs\": {pooled_secs:.3},\n\
-         {speedup_field}  \"acts\": {acts},\n  \"acts_per_sec\": {acts_per_sec},\n  \
-         \"soa_acts_per_sec\": {soa_acts_per_sec},\n  \
-         \"table_variants\": [\n{}\n  ],\n  \
-         \"counters\": {{\n{}\n  }},\n  \"phases\": {{\n{}\n  }}\n}}\n",
-        variant_rows.join(",\n"),
-        counters.join(",\n"),
-        phases.join(",\n"),
-    );
-    std::fs::write(&path, json)
-        .map_err(|e| CliError::failure("bench", "-", format!("cannot write {path}: {e}")))?;
-    let speedup_note = speedup
-        .map(|s| format!(", speedup {s:.2}x"))
-        .unwrap_or_else(|| ", speedup n/a (serial == parallel jobs)".to_string());
-    println!(
-        "table1 x{requests}: serial {serial_secs:.3}s, --jobs {parallel_jobs} \
-         {pooled_secs:.3}s{speedup_note}, {acts_per_sec} acts/s -> {path}"
-    );
-    // Hot-path rows.
-    for (label, secs, aps) in &variants {
-        println!("table {label:12} x{variant_acts}: {secs:.3}s, {aps} acts/s");
-    }
-    // The per-phase breakdown, mirrored to stdout for humans.
-    for s in twice_obs::SpanId::ALL {
-        let h = snapshot.span_hist(s);
-        if h.count() > 0 {
-            println!(
-                "phase {:18} n={:<8} total={:.3}ms mean={}ns",
-                s.name(),
-                h.count(),
-                h.sum() as f64 / 1e6,
-                h.mean()
-            );
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `twice-exp trace <record|replay|verify|stat>`: the binary
-/// (`twice-trace v2`) trace ecosystem. All file I/O goes through the
-/// campaign storage seam, so `--storage-faults` tortures these paths
-/// exactly like journals and checkpoints. Exit codes follow the trace
-/// health ladder: 0 clean, 4 salvaged-and-degraded, 2 unusable.
 /// `redteam` — evolve adversarial hammer patterns against a defense
 /// under the supervision ladder, journal every evaluation for
 /// kill+resume, and optionally distill the winners into a regression
@@ -1083,6 +892,11 @@ fn run_redteam(args: &Args) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `twice-exp trace <record|replay|verify|stat|diff>`: the binary
+/// (`twice-trace v2`) trace ecosystem. All file I/O goes through the
+/// campaign storage seam, so `--storage-faults` tortures these paths
+/// exactly like journals and checkpoints. Exit codes follow the trace
+/// health ladder: 0 clean, 4 salvaged-and-degraded, 2 unusable.
 fn run_trace(args: &Args) -> Result<ExitCode, CliError> {
     use twice_sim::tracecli::{self, TraceIo};
     use twice_workloads::tracev2::TraceHealth;
@@ -1296,6 +1110,10 @@ fn main() -> ExitCode {
                 ablation::th_rh_sweep(&params, &[8_192, 16_384, 32_768, 65_536])
             );
             println!("{}", ablation::timing_sweep(&params));
+            let cfg = SimConfig::paper_default();
+            for w in [WorkloadKind::S1, WorkloadKind::S3, WorkloadKind::MixHigh] {
+                println!("{}", ablation::pa_vs_fa(&cfg, w, 100_000).table);
+            }
         }
         "table1" => {
             let cfg = SimConfig::fast_test();
@@ -1305,14 +1123,23 @@ fn main() -> ExitCode {
         }
         "fig7a" => {
             let cfg = SimConfig::paper_default();
-            let sample = ["mcf", "libquantum", "lbm", "omnetpp", "gcc", "hmmer"];
-            let result =
-                fig7::figure7a_jobs(&cfg, &sample, args.requests.unwrap_or(250_000), args.jobs());
+            let result = fig7::figure7a_jobs(
+                &cfg,
+                &fig7::SPEC_SAMPLE,
+                args.requests.unwrap_or(250_000),
+                args.jobs(),
+            );
             println!("{}", result.table);
         }
         "fig7b" => {
             let cfg = SimConfig::paper_default();
             let result = fig7::figure7b_jobs(&cfg, args.requests.unwrap_or(1_500_000), args.jobs());
+            println!("{}", result.table);
+        }
+        "fig7x" => {
+            let cfg = SimConfig::paper_default();
+            let result =
+                fig7::figure7_extended(&cfg, args.requests.unwrap_or(250_000), args.jobs());
             println!("{}", result.table);
         }
         "capacity" => {
@@ -1344,12 +1171,6 @@ fn main() -> ExitCode {
         }
         "fleet" => {
             return match run_fleet(&args) {
-                Ok(code) => code,
-                Err(e) => e.report(),
-            };
-        }
-        "bench" => {
-            return match run_bench(&args) {
                 Ok(code) => code,
                 Err(e) => e.report(),
             };
@@ -1397,88 +1218,6 @@ fn main() -> ExitCode {
                 out.defended.detections,
                 out.defended.additional_acts,
                 out.defended.ratio_percent(),
-            );
-        }
-        "record" => {
-            let Some(path) = args.file.as_deref() else {
-                return CliError::bad_flag("record", "record needs --file PATH").report();
-            };
-            let name = args.workload.as_deref().unwrap_or("s1");
-            let Some(workload) = workload_from_name(name) else {
-                return CliError::unknown("record", format!("unknown workload \"{name}\""))
-                    .report();
-            };
-            let cfg = SimConfig::paper_default();
-            let trace =
-                twice_sim::runner::build_trace(&cfg, &workload, args.requests.unwrap_or(100_000));
-            // Serialize in memory, then land the file atomically (temp +
-            // fsync + rename): a killed record never leaves a torn,
-            // header-valid trace behind.
-            let mut buf = Vec::new();
-            let n = match twice_workloads::record::write_trace(&mut buf, trace) {
-                Ok(n) => n,
-                Err(e) => {
-                    return CliError::failure("record", "-", format!("encode failed: {e}")).report()
-                }
-            };
-            use twice_sim::cio::CampaignIo as _;
-            if let Err(e) =
-                twice_sim::cio::RealIo.write_atomically(std::path::Path::new(path), &buf)
-            {
-                return CliError::failure("record", "-", format!("cannot write {path}: {e}"))
-                    .report();
-            }
-            println!("wrote {n} accesses to {path}");
-        }
-        "replay" => {
-            let Some(path) = args.file.as_deref() else {
-                return CliError::bad_flag("replay", "replay needs --file PATH").report();
-            };
-            let name = args.defense.as_deref().unwrap_or("twice");
-            let kind = match parse_defense("replay", name) {
-                Ok(k) => k,
-                Err(e) => return e.report(),
-            };
-            let cfg = SimConfig::paper_default();
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    return CliError::failure("replay", "-", format!("cannot open {path}: {e}"))
-                        .report()
-                }
-            };
-            let reader = match twice_workloads::record::TraceReader::open(
-                std::io::BufReader::new(file),
-                &cfg.topology,
-            ) {
-                Ok(r) => r,
-                Err(e) => return CliError::unusable("replay", e.to_string()).report(),
-            };
-            let mut system = twice_sim::system::System::new(&cfg, kind);
-            let mut bad = 0u64;
-            let outcome = system.run(reader.filter_map(|r| match r {
-                Ok(item) => Some(item),
-                Err(e) => {
-                    if bad == 0 {
-                        eprintln!("skipping malformed line: {e}");
-                    }
-                    bad += 1;
-                    None
-                }
-            }));
-            if let Err(e) = outcome {
-                return CliError::failure("replay", "-", format!("replay aborted: {e}")).report();
-            }
-            let m = system.metrics(path.to_string());
-            println!(
-                "{}: {} requests, {} ACTs, {} additional ({}), {} detection(s), {} flip(s)",
-                m.defense,
-                m.requests,
-                m.normal_acts,
-                m.additional_acts,
-                m.ratio_percent(),
-                m.detections,
-                m.bit_flips
             );
         }
         other => {

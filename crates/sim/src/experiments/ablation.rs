@@ -224,6 +224,13 @@ mod tests {
             r.extended
         );
         assert!(r.pa_energy_pj < r.fa_energy_pj, "pa must be cheaper");
+        // The paper-scale rows `twice-exp tables` prints: only a trace is
+        // generated, so this stays cheap.
+        let paper = SimConfig::paper_default();
+        for w in [WorkloadKind::S1, WorkloadKind::S3, WorkloadKind::MixHigh] {
+            let r = pa_vs_fa(&paper, w.clone(), 100_000);
+            assert!(r.pa_energy_pj <= r.fa_energy_pj, "pa costlier on {w}");
+        }
     }
 
     #[test]
@@ -234,6 +241,21 @@ mod tests {
         // 65,536 violates thRH <= N_th/4 and must be flagged invalid.
         assert!(s.contains("no"));
         assert_eq!(t.len(), 4);
+        // Lower thRH => bigger table, over every valid point.
+        let caps: Vec<usize> = [8_192, 16_384, 24_576, 32_768]
+            .into_iter()
+            .filter_map(|t| {
+                let p = base.clone().with_th_rh(t);
+                p.validate()
+                    .ok()
+                    .map(|_| CapacityBound::for_params(&p).total())
+            })
+            .collect();
+        assert!(caps.len() >= 2, "too few valid points: {caps:?}");
+        assert!(
+            caps.windows(2).all(|w| w[0] >= w[1]),
+            "capacity must shrink as thRH grows: {caps:?}"
+        );
     }
 
     #[test]

@@ -140,10 +140,13 @@ mod tests {
 
     #[test]
     fn paper_parameters_capacity_table() {
-        let r = capacity(&TwiceParams::paper_default(), 64);
-        assert_eq!(r.bound.total(), 556);
-        assert!(r.adversarial_occupancy <= r.bound.total());
-        assert!(r.table.to_string().contains("553"));
+        // 256 PIs is what `twice-exp capacity` prints.
+        for pis in [64, 256] {
+            let r = capacity(&TwiceParams::paper_default(), pis);
+            assert_eq!(r.bound.total(), 556);
+            assert!(r.adversarial_occupancy <= r.bound.total(), "{pis} PIs");
+            assert!(r.table.to_string().contains("553"), "{pis} PIs");
+        }
     }
 
     #[test]

@@ -76,13 +76,9 @@ pub fn run_with_ecc_judgement(
 }
 
 /// Runs E3 and renders the comparison table. A failed run degrades to a
-/// structured error row instead of aborting the experiment.
-pub fn ecc_experiment(cfg_base: &SimConfig, requests: u64) -> (Table, Vec<Cell<EccSummary>>) {
-    ecc_experiment_jobs(cfg_base, requests, 1)
-}
-
-/// [`ecc_experiment`] across a worker pool; the two runs are independent
-/// and seeded, so the table is identical for every `jobs` value.
+/// structured error row instead of aborting the experiment. The two
+/// runs go across a pool of `jobs` workers; they are independent and
+/// seeded, so the table is identical for every `jobs` value.
 pub fn ecc_experiment_jobs(
     cfg_base: &SimConfig,
     requests: u64,
@@ -152,7 +148,7 @@ mod tests {
     #[test]
     fn sustained_hammer_defeats_ecc_but_twice_prevents_it() {
         let cfg = SimConfig::fast_test();
-        let (table, runs) = ecc_experiment(&cfg, 60_000);
+        let (table, runs) = ecc_experiment_jobs(&cfg, 60_000, 1);
         assert_eq!(table.len(), 2);
         let by = |cell: &Cell<EccSummary>| {
             *cell

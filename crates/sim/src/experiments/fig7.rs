@@ -12,11 +12,26 @@
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
 use crate::report::{percent, Table};
-use crate::runner::{run, try_run_batch, RunSpec, WorkloadKind};
+use crate::runner::{try_run_batch, RunSpec, WorkloadKind};
 use twice_mitigations::DefenseKind;
 
-/// Unwraps one batched run with [`run`]'s exact panic semantics, so the
-/// pooled sweeps fail the same way the serial loops always did.
+/// The SPECrate applications `SPECrate(avg)` averages in Figure 7(a):
+/// two per intensity/pattern class, five of them from the paper's
+/// `spec-high` set. EXPERIMENTS.md records Figure 7(a) over this sample.
+pub const SPEC_SAMPLE: [&str; 8] = [
+    "mcf",
+    "libquantum",
+    "lbm",
+    "omnetpp",
+    "sphinx3",
+    "gcc",
+    "povray",
+    "hmmer",
+];
+
+/// Unwraps one batched run with [`crate::runner::run`]'s exact panic
+/// semantics, so the pooled sweeps fail the same way the serial loops
+/// always did.
 fn expect_run(result: Option<Result<RunMetrics, crate::outcome::CellError>>) -> RunMetrics {
     result
         .expect("batch yields one result per spec")
@@ -46,15 +61,27 @@ impl Fig7Result {
     }
 }
 
+/// Renders one ratio column per defense for each row of `rows`.
+fn render(title: &str, defenses: &[String], rows: &[(String, Vec<RunMetrics>)]) -> Table {
+    let mut headers: Vec<&str> = vec!["workload"];
+    headers.extend(defenses.iter().map(String::as_str));
+    let mut table = Table::new(title, &headers);
+    for (label, metrics) in rows {
+        let mut cells = vec![label.clone()];
+        cells.extend(metrics.iter().map(|m| percent(m.additional_act_ratio())));
+        table.row(&cells);
+    }
+    table
+}
+
 fn sweep(
     cfg: &SimConfig,
     title: &str,
+    lineup: &[DefenseKind],
     workloads: &[(String, WorkloadKind)],
     requests: u64,
-    with_average: bool,
     jobs: usize,
 ) -> Fig7Result {
-    let lineup = DefenseKind::figure7_lineup();
     let defenses: Vec<String> = lineup.iter().map(|d| d.to_string()).collect();
     let specs: Vec<RunSpec> = workloads
         .iter()
@@ -66,28 +93,8 @@ fn sweep(
         let metrics: Vec<RunMetrics> = lineup.iter().map(|_| expect_run(results.next())).collect();
         rows.push((label.clone(), metrics));
     }
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(defenses.iter().map(String::as_str));
-    let mut table = Table::new(title, &headers);
-    for (label, metrics) in &rows {
-        let mut cells = vec![label.clone()];
-        cells.extend(metrics.iter().map(|m| percent(m.additional_act_ratio())));
-        table.row(&cells);
-    }
-    if with_average && !rows.is_empty() {
-        let mut cells = vec!["Average".to_string()];
-        for d in 0..defenses.len() {
-            let avg = rows
-                .iter()
-                .map(|(_, m)| m[d].additional_act_ratio())
-                .sum::<f64>()
-                / rows.len() as f64;
-            cells.push(percent(avg));
-        }
-        table.row(&cells);
-    }
     Fig7Result {
-        table,
+        table: render(title, &defenses, &rows),
         rows,
         defenses,
     }
@@ -95,14 +102,9 @@ fn sweep(
 
 /// Figure 7(a): the benign workloads. `spec_sample` picks which SPECrate
 /// applications to run (their mean is reported as `SPECrate(avg)`);
-/// `requests` is the per-run trace length.
-pub fn figure7a(cfg: &SimConfig, spec_sample: &[&'static str], requests: u64) -> Fig7Result {
-    figure7a_jobs(cfg, spec_sample, requests, 1)
-}
-
-/// [`figure7a`] across a worker pool. The SPECrate accumulation keeps
-/// its serial iteration order — only the underlying runs are pooled —
-/// so the rendered figure is identical for every `jobs` value.
+/// `requests` is the per-run trace length. The runs go across a pool of
+/// `jobs` workers; the SPECrate accumulation keeps its serial iteration
+/// order, so the rendered figure is identical for every `jobs` value.
 pub fn figure7a_jobs(
     cfg: &SimConfig,
     spec_sample: &[&'static str],
@@ -148,31 +150,15 @@ pub fn figure7a_jobs(
         .into_iter()
         .map(|w| (w.to_string(), w))
         .collect();
-    let mut result = sweep(
-        cfg,
-        "Figure 7(a): additional ACTs on multi-programmed and multi-threaded workloads",
-        &workloads,
-        requests,
-        false,
-        jobs,
-    );
+    let title = "Figure 7(a): additional ACTs on multi-programmed and multi-threaded workloads";
+    let mut result = sweep(cfg, title, &lineup, &workloads, requests, jobs);
     if !spec_avg.is_empty() {
         result
             .rows
             .insert(0, ("SPECrate(avg)".to_string(), spec_avg));
     }
     // Re-render the table including SPECrate(avg) and the Average row.
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(result.defenses.iter().map(String::as_str));
-    let mut table = Table::new(
-        "Figure 7(a): additional ACTs on multi-programmed and multi-threaded workloads",
-        &headers,
-    );
-    for (label, metrics) in &result.rows {
-        let mut cells = vec![label.clone()];
-        cells.extend(metrics.iter().map(|m| percent(m.additional_act_ratio())));
-        table.row(&cells);
-    }
+    let mut table = render(title, &result.defenses, &result.rows);
     let mut cells = vec!["Average".to_string()];
     for d in 0..result.defenses.len() {
         let avg = result
@@ -190,8 +176,9 @@ pub fn figure7a_jobs(
 
 /// An extended sweep (beyond the paper): every defense in the
 /// workspace — including PRoHIT, CRA, the TRR model, Graphene, and the
-/// oracle — on S1 and S3.
-pub fn figure7_extended(cfg: &SimConfig, requests: u64) -> Fig7Result {
+/// oracle — on S1 and S3, across a worker pool (identical output for
+/// every `jobs`).
+pub fn figure7_extended(cfg: &SimConfig, requests: u64, jobs: usize) -> Fig7Result {
     use twice::TableOrganization;
     let lineup = [
         DefenseKind::Para { p: 0.001 },
@@ -203,40 +190,22 @@ pub fn figure7_extended(cfg: &SimConfig, requests: u64) -> Fig7Result {
         DefenseKind::Twice(TableOrganization::Split),
         DefenseKind::Oracle,
     ];
-    let defenses: Vec<String> = lineup.iter().map(|d| d.to_string()).collect();
     let workloads = [
         ("S1".to_string(), WorkloadKind::S1),
         ("S3".to_string(), WorkloadKind::S3),
     ];
-    let mut rows = Vec::new();
-    for (label, w) in &workloads {
-        let metrics: Vec<RunMetrics> = lineup
-            .iter()
-            .map(|&d| run(cfg, w.clone(), d, requests))
-            .collect();
-        rows.push((label.clone(), metrics));
-    }
-    let mut headers: Vec<&str> = vec!["workload"];
-    headers.extend(defenses.iter().map(String::as_str));
-    let mut table = Table::new("Extended defense sweep (additional-ACT ratio)", &headers);
-    for (label, metrics) in &rows {
-        let mut cells = vec![label.clone()];
-        cells.extend(metrics.iter().map(|m| percent(m.additional_act_ratio())));
-        table.row(&cells);
-    }
-    Fig7Result {
-        table,
-        rows,
-        defenses,
-    }
+    sweep(
+        cfg,
+        "Extended defense sweep (additional-ACT ratio)",
+        &lineup,
+        &workloads,
+        requests,
+        jobs,
+    )
 }
 
-/// Figure 7(b): the synthetic workloads.
-pub fn figure7b(cfg: &SimConfig, requests: u64) -> Fig7Result {
-    figure7b_jobs(cfg, requests, 1)
-}
-
-/// [`figure7b`] across a worker pool; identical output for every `jobs`.
+/// Figure 7(b): the synthetic workloads, across a pool of `jobs`
+/// workers; identical output for every `jobs`.
 pub fn figure7b_jobs(cfg: &SimConfig, requests: u64, jobs: usize) -> Fig7Result {
     let workloads: Vec<(String, WorkloadKind)> = WorkloadKind::figure7b()
         .into_iter()
@@ -245,9 +214,9 @@ pub fn figure7b_jobs(cfg: &SimConfig, requests: u64, jobs: usize) -> Fig7Result 
     sweep(
         cfg,
         "Figure 7(b): additional ACTs on synthetic workloads",
+        &DefenseKind::figure7_lineup(),
         &workloads,
         requests,
-        false,
         jobs,
     )
 }
@@ -261,7 +230,7 @@ mod tests {
     #[test]
     fn figure7b_shape_holds_on_fast_system() {
         let cfg = SimConfig::fast_test();
-        let result = figure7b(&cfg, 60_000);
+        let result = figure7b_jobs(&cfg, 60_000, 1);
         assert_eq!(result.rows.len(), 3);
 
         // TWiCe: zero on S1, tiny on S3 (2 extra ACTs per thRH).
@@ -283,8 +252,8 @@ mod tests {
         // CBT refreshes whole leaf groups where TWiCe's ARR touches only
         // 2 rows, so CBT must cost more on S3. (The full CBT-vs-S2 blowup
         // needs paper-scale windows — the fast window cannot fit the
-        // counter-exhaustion phase — and is exercised by the paper-scale
-        // fig7b bench, recorded in EXPERIMENTS.md.)
+        // counter-exhaustion phase — and is asserted at paper scale in
+        // `tests/paper_claims.rs`, recorded in EXPERIMENTS.md.)
         let cbt_s3 = result.ratio("S3", "CBT").unwrap();
         let twice_s2 = result.ratio("S2", "TWiCe").unwrap();
         assert_eq!(twice_s2, 0.0, "S2 never hammers one row past thRH");
@@ -301,7 +270,7 @@ mod tests {
         cfg.params.th_rh = 2_048;
         cfg.params.n_th = 8_192;
         cfg.fault_n_th = 8_192;
-        let result = figure7a(&cfg, &["mcf", "libquantum"], 8_000);
+        let result = figure7a_jobs(&cfg, &["mcf", "libquantum"], 8_000, 1);
         // Every workload row exists plus SPECrate(avg).
         assert_eq!(result.rows.len(), 7);
         for (w, metrics) in &result.rows {

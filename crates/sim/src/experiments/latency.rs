@@ -25,13 +25,9 @@ pub struct LatencyResult {
     pub table: Table,
 }
 
-/// Runs E2: tail latency of each defense under `workloads`.
-pub fn latency_spike(cfg: &SimConfig, workloads: &[(String, WorkloadKind, u64)]) -> LatencyResult {
-    latency_spike_jobs(cfg, workloads, 1)
-}
-
-/// [`latency_spike`] across a worker pool; cells are independent, so the
-/// rendered table is identical for every `jobs` value.
+/// Runs E2: tail latency of each defense under `workloads`, across a
+/// pool of `jobs` workers. Cells are independent, so the rendered table
+/// is identical for every `jobs` value.
 pub fn latency_spike_jobs(
     cfg: &SimConfig,
     workloads: &[(String, WorkloadKind, u64)],
@@ -101,7 +97,7 @@ mod tests {
         // where CBT refreshes a leaf group per crossing instead.
         cfg.params.th_rh = 256;
         let workloads = vec![("S3".to_string(), WorkloadKind::S3, 60_000u64)];
-        let result = latency_spike(&cfg, &workloads);
+        let result = latency_spike_jobs(&cfg, &workloads, 1);
         let by = |name: &str| {
             require(&result.runs, name, |m: &RunMetrics| {
                 m.defense.contains(name)

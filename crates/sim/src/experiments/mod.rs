@@ -1,9 +1,9 @@
 //! One module per paper table/figure (see DESIGN.md's experiment index).
 //!
 //! Each module exposes a function that computes its experiment and
-//! renders a [`crate::report::Table`]; the bench harness in
-//! `twice-bench` prints these, and EXPERIMENTS.md records the outcomes
-//! against the paper's numbers.
+//! renders a [`crate::report::Table`]; the `twice-exp` commands print
+//! these, and EXPERIMENTS.md records the outcomes against the paper's
+//! numbers.
 
 pub mod ablation;
 pub mod capacity;

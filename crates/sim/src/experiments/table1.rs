@@ -67,13 +67,10 @@ fn combine(
 /// everyone) with `requests` accesses per run. A cell that fails —
 /// malformed configuration, exhausted retry budget — degrades to a
 /// structured error row instead of aborting the table.
-pub fn table1(cfg: &SimConfig, requests: u64) -> (Table, Vec<Cell<Comparison>>) {
-    table1_jobs(cfg, requests, 1)
-}
-
-/// [`table1`] across a worker pool: all 12 runs (4 defenses × S1/S2/S3)
-/// are independent and seeded by `cfg`, so every `jobs` value yields the
-/// same table — the pool only changes wall-clock time.
+///
+/// The 12 runs (4 defenses × S1/S2/S3) go across a pool of `jobs`
+/// workers. They are independent and seeded by `cfg`, so every `jobs`
+/// value yields the same table — the pool only changes wall-clock time.
 pub fn table1_jobs(cfg: &SimConfig, requests: u64, jobs: usize) -> (Table, Vec<Cell<Comparison>>) {
     let lineup: Vec<(DefenseKind, &'static str)> = vec![
         (DefenseKind::Cra { cache_entries: 64 }, "MC"),
@@ -149,7 +146,7 @@ mod tests {
     #[test]
     fn measured_table1_preserves_paper_ordering() {
         let cfg = SimConfig::fast_test();
-        let (table, rows) = table1(&cfg, 30_000);
+        let (table, rows) = table1_jobs(&cfg, 30_000, 1);
         assert_eq!(table.len(), 4);
         let by_name = |n: &str| {
             require(&rows, n, |c: &Comparison| c.defense.contains(n))

@@ -19,7 +19,6 @@
 //! * [`mica`] — skewed key-value GET/SET traffic.
 //! * [`pagerank`] — CSR scan + power-law gather traffic.
 //! * [`synth`] — S1/S2/S3 from §7.2.
-//! * [`record`] — v1 text trace serialization and replay.
 //! * [`tracev2`] — the CRC-framed binary trace format with salvage.
 //! * [`stats`] — one-pass trace characterization (row reuse, bank
 //!   spread, hot-row share).
@@ -48,7 +47,6 @@ pub mod mica;
 pub mod mix;
 pub mod pagerank;
 pub mod radix;
-pub mod record;
 pub mod spec;
 pub mod stats;
 pub mod synth;

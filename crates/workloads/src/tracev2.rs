@@ -1,11 +1,12 @@
 //! `twice-trace v2`: a corruption-tolerant binary trace format.
 //!
-//! The v1 text format ([`crate::record`]) is human-readable but fragile:
-//! no checksums, no version enforcement, ~16 bytes per access. v2 keeps
-//! the same logical record — `(kind, address, source, arrival)` plus the
-//! decoded DRAM coordinate — but encodes it as delta/varint records
-//! grouped into CRC-32-sealed frames behind a header that binds the
-//! format version and a topology/addrmap digest.
+//! It replaced the v1 text format (one `kind addr source` line per
+//! access), which was human-readable but fragile: no checksums, no
+//! version enforcement, ~16 bytes per access. v2 keeps the same logical
+//! record — `(kind, address, source, arrival)` plus the decoded DRAM
+//! coordinate — but encodes it as delta/varint records grouped into
+//! CRC-32-sealed frames behind a header that binds the format version
+//! and a topology/addrmap digest.
 //!
 //! # Layout
 //!
@@ -1032,9 +1033,9 @@ pub fn decode_strict(bytes: &[u8], topo: &Topology) -> Result<Vec<TraceItem>, Tr
     Ok(items)
 }
 
-/// The exact byte length `item` would occupy in the v1 text format
-/// (`kind {:#010x} source\n`); used by `trace stat` to report the
-/// compression ratio without re-rendering the whole file.
+/// The exact byte length `item` would occupy in the retired v1 text
+/// format (`kind {:#010x} source\n`): the yardstick `trace stat` and
+/// the v2 compression floor measure against.
 pub fn v1_encoded_len(item: &TraceItem) -> u64 {
     let addr = item.0.addr;
     let hex_digits = if addr == 0 {

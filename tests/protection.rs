@@ -15,17 +15,19 @@ use twice_repro::workloads::attack::HammerShape;
 
 const REQUESTS: u64 = 60_000;
 
+const ORGS: [TableOrganization; 3] = [
+    TableOrganization::FullyAssociative,
+    TableOrganization::PseudoAssociative,
+    TableOrganization::Split,
+];
+
 fn cfg() -> SimConfig {
     SimConfig::fast_test()
 }
 
 #[test]
 fn every_twice_organization_defeats_the_classic_hammer() {
-    for org in [
-        TableOrganization::FullyAssociative,
-        TableOrganization::PseudoAssociative,
-        TableOrganization::Split,
-    ] {
+    for org in ORGS {
         let out = confront(&cfg(), WorkloadKind::S3, DefenseKind::Twice(org), REQUESTS);
         assert!(out.unprotected.bit_flips > 0, "{org:?}: attack inert");
         assert_eq!(out.defended.bit_flips, 0, "{org:?}: flips leaked");
@@ -35,13 +37,10 @@ fn every_twice_organization_defeats_the_classic_hammer() {
 
 #[test]
 fn twice_defeats_double_sided_hammering() {
-    let out = confront(
-        &cfg(),
-        double_sided(100),
-        DefenseKind::Twice(TableOrganization::Split),
-        REQUESTS,
-    );
-    assert!(out.defense_holds());
+    for org in ORGS {
+        let out = confront(&cfg(), double_sided(100), DefenseKind::Twice(org), REQUESTS);
+        assert!(out.defense_holds(), "{org:?}");
+    }
 }
 
 #[test]
