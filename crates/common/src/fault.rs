@@ -263,6 +263,7 @@ impl FaultPlan {
     /// decisions do not alias even though they share one plan.
     pub fn injector(&self, salt: u64) -> FaultInjector {
         FaultInjector {
+            armed: !self.is_none(),
             plan: self.clone(),
             rng: SplitMix64::new(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             opportunities: [0; KINDS],
@@ -278,6 +279,9 @@ impl FaultPlan {
 /// one-shots, then the Bernoulli rate, and tallies what it injected.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
+    /// Whether the plan can fire at all; an unarmed injector only counts
+    /// opportunities.
+    armed: bool,
     plan: FaultPlan,
     rng: SplitMix64,
     opportunities: [u64; KINDS],
@@ -292,7 +296,20 @@ impl FaultInjector {
 
     /// Registers one opportunity for `kind` and decides whether the
     /// fault fires now.
+    ///
+    /// An unarmed injector (no scheduled fault, every rate zero) only
+    /// counts the opportunity: with a zero rate the armed path draws no
+    /// random number either, so the stream state is the same.
+    #[inline]
     pub fn fire(&mut self, kind: FaultKind) -> bool {
+        if !self.armed {
+            self.opportunities[kind.index()] += 1;
+            return false;
+        }
+        self.fire_armed(kind)
+    }
+
+    fn fire_armed(&mut self, kind: FaultKind) -> bool {
         let i = kind.index();
         let n = self.opportunities[i];
         self.opportunities[i] += 1;
@@ -386,6 +403,31 @@ mod tests {
             }
         }
         assert_eq!(inj.injected_total(), 0);
+    }
+
+    #[test]
+    fn unarmed_fast_path_leaves_the_armed_path_state() {
+        // A one-shot for a kind never fired here arms the plan, so its
+        // zero-rate kinds take the armed path.
+        use crate::snapshot::{Snapshot, StateDigest};
+        let mut armed = FaultPlan::with_seed(5)
+            .at_event(FaultKind::BankStuck, 0)
+            .injector(3);
+        let mut unarmed = FaultPlan::with_seed(5).injector(3);
+        let kinds = FaultKind::ALL
+            .into_iter()
+            .filter(|&k| k != FaultKind::BankStuck);
+        for kind in kinds.cycle().take(1_000) {
+            assert!(!armed.fire(kind));
+            assert!(!unarmed.fire(kind));
+        }
+        let digest = |inj: &FaultInjector| {
+            let mut d = StateDigest::new();
+            inj.digest_state(&mut d);
+            d.finish()
+        };
+        assert_eq!(digest(&armed), digest(&unarmed));
+        assert!(unarmed.opportunities(FaultKind::TimingJitter) > 0);
     }
 
     #[test]

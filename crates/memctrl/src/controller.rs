@@ -18,6 +18,13 @@
 //!   are issued as explicit row activations, and — faithfully to the
 //!   paper's critique — it only knows *logical* adjacency, so an `arr`
 //!   request is expanded to `row ± 1`.
+//!
+//! Serving a request does not rescan the queue's entries. PAR-BS picks
+//! from its batch's member list and only looks the chosen id up in the
+//! queue. The page policy counts queued hits to the served row on a
+//! mirror that holds one `(flat bank << 32) | row` key per queue slot.
+//! `submit`, the `swap_remove` that retires a request, and `load_state`
+//! keep the mirror in step with the queue.
 
 use crate::latency::LatencyHistogram;
 use crate::pagepolicy::PagePolicy;
@@ -181,6 +188,10 @@ pub struct ChannelController {
     mc_defense: Option<Box<dyn RowHammerDefense>>,
     scheduler: Box<dyn Scheduler>,
     queue: Vec<QueuedRequest>,
+    /// [`row_key`](Self::row_key) of each queued request, slot for slot
+    /// with `queue`: the page policy counts queued row hits on these.
+    /// Derived, never serialized.
+    queue_keys: Vec<u64>,
     next_id: u64,
     now: Time,
     /// Next auto-refresh due instant per flat (rank, bank).
@@ -260,6 +271,7 @@ impl ChannelController {
             rcd,
             mc_defense,
             queue: Vec::with_capacity(cfg.queue_capacity),
+            queue_keys: Vec::with_capacity(cfg.queue_capacity),
             next_id: 0,
             now: Time::ZERO,
             next_ref,
@@ -303,6 +315,14 @@ impl ChannelController {
         rank * usize::from(self.cfg.banks_per_rank) + usize::from(bank)
     }
 
+    /// `(flat bank << 32) | row`: equal keys name the same row of the
+    /// same bank.
+    #[inline]
+    fn row_key(&self, access: &DecodedAccess) -> u64 {
+        let fb = self.flat_bank(usize::from(access.rank.0), access.bank);
+        (fb as u64) << 32 | u64::from(access.row.0)
+    }
+
     #[inline]
     fn global_bank(&self, rank: usize, bank: u16) -> BankId {
         BankId(
@@ -334,6 +354,7 @@ impl ChannelController {
         // measured queue-to-completion.
         let mut req = req;
         req.arrival = self.now;
+        self.queue_keys.push(self.row_key(&access));
         self.queue.push(QueuedRequest {
             id: self.next_id,
             req,
@@ -473,29 +494,28 @@ impl ChannelController {
         let fb = self.flat_bank(rank, bank);
         self.hits_served[fb] += 1;
         // Page policy.
-        let queued_hits = self
-            .queue
-            .iter()
-            .filter(|o| {
-                o.id != q.id
-                    && o.access.rank == q.access.rank
-                    && o.access.bank == bank
-                    && o.access.row == q.access.row
-            })
-            .count();
         if self
             .cfg
             .page_policy
-            .close_after_access(self.hits_served[fb], queued_hits)
+            .close_after_access(self.hits_served[fb], self.queued_hits(idx))
         {
             self.issue(rank, DramCommand::Precharge { bank })?;
         }
         self.queue.swap_remove(idx);
+        self.queue_keys.swap_remove(idx);
         self.scheduler.on_complete(q.id);
         self.served += 1;
         self.latency
             .record(self.now.saturating_since(q.req.arrival));
         Ok(true)
+    }
+
+    /// The other queued requests that need the row queue slot `idx`
+    /// needs: the page policy's `queued_hits`. Ids are unique, so the
+    /// slot matches its own key exactly once.
+    fn queued_hits(&self, idx: usize) -> usize {
+        let key = self.queue_keys[idx];
+        self.queue_keys.iter().filter(|&&k| k == key).count() - 1
     }
 
     /// Issues any per-bank refreshes that are due at the current time.
@@ -707,14 +727,13 @@ impl ChannelController {
             self.defense_stats.record(&response, 0);
             return;
         }
-        let mut rows: Vec<RowId> = response.refresh_rows.clone();
-        let mut arr_neighbors = 0u32;
-        if let Some(aggressor) = response.arr {
-            // An MC-resident defense only knows logical adjacency (§3.4).
-            let logical = self.rcd.ranks()[rank].logical_neighbors(bank, aggressor);
-            arr_neighbors = logical.len() as u32;
-            rows.extend(logical);
-        }
+        // An MC-resident defense only knows logical adjacency (§3.4).
+        let logical = response
+            .arr
+            .map(|aggressor| self.rcd.ranks()[rank].logical_neighbors(bank, aggressor))
+            .unwrap_or_default();
+        self.defense_stats.record(&response, logical.len() as u32);
+        let rows = response.refresh_rows.into_iter().chain(logical);
         let refreshed = self
             .rcd
             .rank_mut(rank)
@@ -728,7 +747,6 @@ impl ChannelController {
         if let Some(d) = response.detection {
             self.mc_detections.push(d);
         }
-        self.defense_stats.record(&response, arr_neighbors);
     }
 
     /// Issues `cmd`, retrying on timing rejections and RCD nacks;
@@ -1065,9 +1083,10 @@ impl Snapshot for ChannelController {
             )));
         }
         // A restored entry passes the checks `submit` makes, and its id
-        // is unique and already issued: PAR-BS's membership bound relies
-        // on every later arrival having a larger id.
+        // is unique and already issued, so no later arrival repeats it:
+        // `queued_hits` and PAR-BS's slot search both rely on unique ids.
         self.queue.clear();
+        self.queue_keys.clear();
         for _ in 0..queued {
             let q = load_queued(r)?;
             if !self.in_range(&q.access) {
@@ -1082,6 +1101,7 @@ impl Snapshot for ChannelController {
                     q.id
                 )));
             }
+            self.queue_keys.push(self.row_key(&q.access));
             self.queue.push(q);
         }
         self.next_id = r.take_u64()?;
@@ -1455,6 +1475,70 @@ mod tests {
         assert_eq!(a.served(), b.served());
         assert_eq!(a.now(), b.now());
         assert_eq!(digest(&a), digest(&b), "divergence after resume");
+    }
+
+    #[test]
+    fn key_mirror_counts_queued_hits_like_a_rescan() {
+        let mut cfg = ControllerConfig::for_test(8);
+        cfg.ranks = 2;
+        cfg.queue_capacity = 16;
+        let make = || ChannelController::without_defense(cfg.clone());
+        // Every slot's mirror count against a rescan of the queue; returns
+        // the hits seen, so the test cannot pass on a queue without any.
+        let check = |c: &ChannelController| -> usize {
+            assert_eq!(c.queue_keys.len(), c.queue.len());
+            let mut hits = 0;
+            for (i, q) in c.queue.iter().enumerate() {
+                let rescan = c
+                    .queue
+                    .iter()
+                    .filter(|o| {
+                        o.id != q.id
+                            && o.access.rank == q.access.rank
+                            && o.access.bank == q.access.bank
+                            && o.access.row == q.access.row
+                    })
+                    .count();
+                assert_eq!(c.queued_hits(i), rescan, "slot {i} of {:?}", c.queue);
+                hits += rescan;
+            }
+            hits
+        };
+        let mut rng = twice_common::rng::SplitMix64::new(0x51DE);
+        let mut c = make();
+        let (mut hits, mut restored) = (0, false);
+        for step in 0..3_000 {
+            while c.has_capacity() && rng.chance(0.6) {
+                let access = DecodedAccess {
+                    channel: ChannelId(0),
+                    rank: RankId(rng.next_below(2) as u8),
+                    bank: rng.next_below(2) as u16,
+                    row: RowId(rng.next_below(8) as u32),
+                    col: ColId(rng.next_below(128) as u16),
+                };
+                let source = rng.next_below(4) as u16;
+                c.submit(MemRequest::read(0, source, Time::ZERO), access);
+            }
+            c.service_one().expect("fault-free run");
+            hits += check(&c);
+            if !restored && step >= 1_500 && c.queue.len() >= 4 {
+                let mut w = SnapshotWriter::new();
+                c.save_state(&mut w);
+                let blob = w.finish();
+                let mut b = make();
+                b.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
+                    .expect("restore");
+                assert_eq!(digest(&b), digest(&c));
+                hits += check(&b);
+                c = b;
+                restored = true;
+            }
+        }
+        assert!(
+            restored,
+            "the queue never held four requests after step 1,500"
+        );
+        assert!(hits > 1_000, "only {hits} queued hits seen");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! (and for the simpler policies) the classic **FR-FCFS** rule applies:
 //! row-buffer hits first, then oldest first.
 //!
-//! A pick is one pass over the queue. PAR-BS tests batch membership
-//! with a per-source id bound set when the batch forms, and forming a
-//! batch takes one more pass that keeps each source's oldest ids (see
+//! FCFS and FR-FCFS pick in one pass over the queue. PAR-BS records its
+//! members' coordinates when a batch forms, in one pass that keeps each
+//! source's oldest requests. A pick then walks the member list, not the
+//! queue, and scans the queue only for the chosen member's id (see
 //! [`ParBs`]).
 
 use crate::addrmap::DecodedAccess;
@@ -107,7 +108,11 @@ impl Scheduler for Fcfs {
         queue: &[QueuedRequest],
         _open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
     ) -> Option<usize> {
-        oldest(queue, |_| true)
+        queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, q)| q.id)
+            .map(|(i, _)| i)
     }
 }
 
@@ -125,52 +130,74 @@ impl Scheduler for FrFcfs {
         queue: &[QueuedRequest],
         open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
     ) -> Option<usize> {
-        pick_fr_fcfs(queue, open_row, |_| true)
+        // One pass: the oldest row hit, else the oldest. `open_row` is
+        // asked only about a request that would beat the best hit so
+        // far. Strict comparisons keep the lowest index among equal ids.
+        let mut hit: Option<(u64, usize)> = None;
+        let mut first: Option<(u64, usize)> = None;
+        for (i, q) in queue.iter().enumerate() {
+            if first.is_none_or(|(id, _)| q.id < id) {
+                first = Some((q.id, i));
+            }
+            if hit.is_none_or(|(id, _)| q.id < id)
+                && open_row(q.access.rank, q.access.bank) == Some(q.access.row)
+            {
+                hit = Some((q.id, i));
+            }
+        }
+        hit.or(first).map(|(_, i)| i)
     }
 }
 
 /// Parallelism-aware batch scheduling.
 ///
-/// A batch takes each source's `batch_cap` oldest queued requests, and
-/// every later arrival carries a larger id. So a source's batch members
-/// are exactly its queued requests with `id < limit[source]`, where the
-/// limit is one past the newest id the source was granted when the
-/// batch formed: completions leave it exact, and arrivals fall past it.
-/// Membership costs one table load per queued request.
+/// A batch takes each source's `batch_cap` oldest queued requests. When
+/// it forms, `ParBs` records each member's id, rank, bank and row,
+/// ascending by id. A pick walks that member list: the first member
+/// whose row is open wins, otherwise the first member, and the queue is
+/// then searched for that member's id. A pick therefore asks `open_row`
+/// about members only, up to the first hit, and reads at most one id per
+/// queued request.
 ///
-/// The ascending id vector `batch` stays as the snapshot and digest
-/// encoding (length, then ascending ids) and tells when the batch has
-/// drained. A restored batch may name ids that are no longer queued;
-/// the first pick after a restore drops them, as a per-pick sweep did
-/// before, and derives the limits from what remains.
+/// Membership is "is in the batch". The ascending member ids are the
+/// snapshot and digest encoding and tell when the batch has drained.
+/// `load_state` restores ids only: the first pick after a restore drops
+/// the ids that are no longer queued and reads the rest's coordinates
+/// from the queue.
 #[derive(Debug, Clone)]
 pub struct ParBs {
     batch_cap: usize,
-    batch: Vec<u64>,
-    /// Membership bound per source, indexed by source; sources past the
-    /// end have no members.
-    limit: Vec<u64>,
-    membership: Membership,
+    /// The batch, ascending by id.
+    members: Vec<Member>,
+    /// `load_state` replaced the batch, and the next pick resolves it
+    /// against the queue.
+    restored: bool,
     /// Scratch for batch formation: each queued source and how many of
-    /// its ids `oldest` holds.
+    /// its requests `oldest` holds.
     grants: Vec<(u16, usize)>,
     /// Scratch for batch formation: `batch_cap` slots per grant, holding
-    /// that source's oldest ids in ascending order.
-    oldest: Vec<u64>,
+    /// that source's oldest requests in ascending id order.
+    oldest: Vec<Member>,
 }
 
-/// How [`ParBs`] decides whether a queued request is in the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Membership {
-    /// `id < limit[source]`.
-    Limits,
-    /// `load_state` replaced the batch; the next pick re-derives the
-    /// limits from the queue.
-    Restored,
-    /// A restored batch that is not each source's oldest queued
-    /// requests, which only a hand-made snapshot holds: search `batch`
-    /// until it drains.
-    Search,
+/// A batch member: a queued request's id and the row it needs open.
+#[derive(Debug, Clone, Copy, Default)]
+struct Member {
+    id: u64,
+    rank: RankId,
+    bank: u16,
+    row: RowId,
+}
+
+impl Member {
+    fn of(q: &QueuedRequest) -> Member {
+        Member {
+            id: q.id,
+            rank: q.access.rank,
+            bank: q.access.bank,
+            row: q.access.row,
+        }
+    }
 }
 
 impl ParBs {
@@ -184,25 +211,16 @@ impl ParBs {
         assert!(batch_cap > 0, "batch cap must be non-zero");
         ParBs {
             batch_cap,
-            batch: Vec::new(),
-            limit: Vec::new(),
-            membership: Membership::Limits,
+            members: Vec::new(),
+            restored: false,
             grants: Vec::new(),
             oldest: Vec::new(),
         }
     }
 
-    fn limit_of(&mut self, source: u16) -> &mut u64 {
-        let s = usize::from(source);
-        if self.limit.len() <= s {
-            self.limit.resize(s + 1, 0);
-        }
-        &mut self.limit[s]
-    }
-
     fn form_batch(&mut self, queue: &[QueuedRequest]) {
         // One pass over the (unsorted) queue: each source's grant keeps
-        // its `cap` oldest ids, ascending.
+        // its `cap` oldest requests, ascending.
         let cap = self.batch_cap;
         self.grants.clear();
         self.oldest.clear();
@@ -211,74 +229,57 @@ impl ParBs {
                 Some(slot) => slot,
                 None => {
                     self.grants.push((q.req.source, 0));
-                    self.oldest.resize(self.oldest.len() + cap, 0);
+                    self.oldest
+                        .resize(self.oldest.len() + cap, Member::default());
                     self.grants.len() - 1
                 }
             };
             let kept = &mut self.grants[slot].1;
-            let ids = &mut self.oldest[slot * cap..][..cap];
-            if *kept == cap && q.id >= ids[cap - 1] {
+            let held = &mut self.oldest[slot * cap..][..cap];
+            if *kept == cap && q.id >= held[cap - 1].id {
                 continue;
             }
-            let at = ids[..*kept].partition_point(|&id| id < q.id);
+            let at = held[..*kept].partition_point(|m| m.id < q.id);
             *kept = (*kept + 1).min(cap);
-            ids.copy_within(at..*kept - 1, at + 1);
-            ids[at] = q.id;
+            held.copy_within(at..*kept - 1, at + 1);
+            held[at] = Member::of(q);
         }
-        // A source with nothing queued keeps its old limit: its requests
-        // below it have all completed, and later arrivals get larger ids.
-        self.batch.clear();
-        for slot in 0..self.grants.len() {
-            let (source, kept) = self.grants[slot];
-            let ids = &self.oldest[slot * cap..][..kept];
-            self.batch.extend_from_slice(ids);
-            // Ids stay below `u64::MAX`: the controller's counter
-            // cannot reach it.
-            let newest = ids[kept - 1];
-            *self.limit_of(source) = newest + 1;
+        self.members.clear();
+        for (slot, &(_, kept)) in self.grants.iter().enumerate() {
+            self.members
+                .extend_from_slice(&self.oldest[slot * cap..][..kept]);
         }
-        self.batch.sort_unstable();
-        self.membership = Membership::Limits;
+        self.members.sort_unstable_by_key(|m| m.id);
     }
 
-    /// Drops restored ids that are no longer queued and derives the
-    /// limits from the rest.
+    /// Drops restored ids that are no longer queued and reads the
+    /// coordinates of the rest from the queue.
     fn adopt_restored(&mut self, queue: &[QueuedRequest]) {
-        self.batch.retain(|id| queue.iter().any(|q| q.id == *id));
-        self.limit.fill(0);
-        for q in queue {
-            if self.batch.binary_search(&q.id).is_ok() {
-                let limit = self.limit_of(q.req.source);
-                *limit = (*limit).max(q.id.saturating_add(1));
-            }
-        }
-        let exact = queue
-            .iter()
-            .all(|q| self.within_limit(q) == self.batch.binary_search(&q.id).is_ok());
-        self.membership = if exact {
-            Membership::Limits
-        } else {
-            Membership::Search
-        };
+        self.restored = false;
+        self.members
+            .retain_mut(|m| match queue.iter().find(|q| q.id == m.id) {
+                Some(q) => {
+                    *m = Member::of(q);
+                    true
+                }
+                None => false,
+            });
     }
 
-    fn within_limit(&self, q: &QueuedRequest) -> bool {
-        self.limit
-            .get(usize::from(q.req.source))
-            .is_some_and(|&limit| q.id < limit)
-    }
-
-    fn pick_member(
+    /// The queue slot of the oldest queued member whose row is open,
+    /// else of the oldest queued member. A member that left the queue
+    /// without `on_complete` is passed over.
+    fn walk_members(
         &self,
         queue: &[QueuedRequest],
         open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
     ) -> Option<usize> {
-        match self.membership {
-            Membership::Search => {
-                pick_fr_fcfs(queue, open_row, |q| self.batch.binary_search(&q.id).is_ok())
-            }
-            _ => pick_fr_fcfs(queue, open_row, |q| self.within_limit(q)),
-        }
+        let slot = |m: &Member| queue.iter().position(|q| q.id == m.id);
+        self.members
+            .iter()
+            .filter(|m| open_row(m.rank, m.bank) == Some(m.row))
+            .find_map(slot)
+            .or_else(|| self.members.iter().find_map(slot))
     }
 }
 
@@ -295,90 +296,57 @@ impl Scheduler for ParBs {
         if queue.is_empty() {
             return None;
         }
-        if self.membership == Membership::Restored {
+        if self.restored {
             self.adopt_restored(queue);
         }
-        if self.batch.is_empty() {
+        if self.members.is_empty() {
             self.form_batch(queue);
         }
-        self.pick_member(queue, open_row).or_else(|| {
-            // Every batch id left the queue without `on_complete`, which
+        self.walk_members(queue, open_row).or_else(|| {
+            // Every member left the queue without `on_complete`, which
             // the controller never does: start a new batch.
-            self.batch.clear();
             self.form_batch(queue);
-            self.pick_member(queue, open_row)
+            self.walk_members(queue, open_row)
         })
     }
 
     fn on_complete(&mut self, id: u64) {
-        if let Ok(i) = self.batch.binary_search(&id) {
-            self.batch.remove(i);
+        if let Ok(i) = self.members.binary_search_by_key(&id, |m| m.id) {
+            self.members.remove(i);
         }
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
         // The batch is a pure set, kept sorted: canonical as-is.
-        w.put_usize(self.batch.len());
-        for id in &self.batch {
-            w.put_u64(*id);
+        w.put_usize(self.members.len());
+        for m in &self.members {
+            w.put_u64(m.id);
         }
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.membership = Membership::Restored;
+        self.restored = true;
         let n = r.take_usize()?;
-        self.batch.clear();
+        self.members.clear();
         for _ in 0..n {
-            self.batch.push(r.take_u64()?);
+            let id = r.take_u64()?;
+            self.members.push(Member {
+                id,
+                ..Member::default()
+            });
         }
         // Snapshots we write are ascending, but the set semantics never
         // depended on blob order — normalize rather than reject.
-        self.batch.sort_unstable();
-        self.batch.dedup();
+        self.members.sort_unstable_by_key(|m| m.id);
+        self.members.dedup_by_key(|m| m.id);
         Ok(())
     }
 
     fn digest_state(&self, d: &mut StateDigest) {
-        for id in &self.batch {
-            d.write_u64(*id);
+        for m in &self.members {
+            d.write_u64(m.id);
         }
     }
-}
-
-/// One pass over the eligible requests: the oldest row hit, else the
-/// oldest. `open_row` is asked only about a request that would beat the
-/// best hit so far. Strict comparisons keep the lowest index among
-/// equal ids.
-fn pick_fr_fcfs(
-    queue: &[QueuedRequest],
-    open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    eligible: impl Fn(&QueuedRequest) -> bool,
-) -> Option<usize> {
-    let mut hit: Option<(u64, usize)> = None;
-    let mut first: Option<(u64, usize)> = None;
-    for (i, q) in queue.iter().enumerate() {
-        if !eligible(q) {
-            continue;
-        }
-        if first.is_none_or(|(id, _)| q.id < id) {
-            first = Some((q.id, i));
-        }
-        if hit.is_none_or(|(id, _)| q.id < id)
-            && open_row(q.access.rank, q.access.bank) == Some(q.access.row)
-        {
-            hit = Some((q.id, i));
-        }
-    }
-    hit.or(first).map(|(_, i)| i)
-}
-
-fn oldest(queue: &[QueuedRequest], pred: impl Fn(&QueuedRequest) -> bool) -> Option<usize> {
-    queue
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| pred(q))
-        .min_by_key(|(_, q)| q.id)
-        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -455,6 +423,95 @@ mod tests {
         // Id 1 leaves the queue unannounced, so the batch names only a
         // request that is gone; the pick must still serve id 2.
         assert_eq!(s.pick(&[q(2, 0, 0, 2)], &no_open), Some(0));
+    }
+
+    fn batch_ids(s: &ParBs) -> Vec<u64> {
+        s.members.iter().map(|m| m.id).collect()
+    }
+
+    #[test]
+    fn parbs_passes_over_members_that_leave_without_on_complete() {
+        let mut s = ParBs::new(2);
+        let queue = vec![
+            q(1, 0, 0, 10),
+            q(2, 0, 1, 20),
+            q(3, 1, 0, 30),
+            q(4, 1, 1, 20),
+            q(5, 0, 1, 20),
+        ];
+        assert_eq!(s.pick(&queue, &no_open), Some(0));
+        assert_eq!(batch_ids(&s), [1, 2, 3, 4]);
+        // Ids 1 and 2 leave unannounced. Row 20 is open: id 2 is the
+        // oldest member on it but is gone, and id 5 is not a member, so
+        // the pick is id 4, ahead of the older member id 3.
+        let open = |_: RankId, b: u16| (b == 1).then_some(RowId(20));
+        let queue = vec![q(5, 0, 1, 20), q(3, 1, 0, 30), q(4, 1, 1, 20)];
+        assert_eq!(s.pick(&queue, &open), Some(2));
+        assert_eq!(batch_ids(&s), [1, 2, 3, 4], "kept until the batch re-forms");
+        // Ids 3 and 4 leave unannounced too. No member is queued, so a
+        // new batch forms from what is.
+        let queue = vec![q(6, 1, 0, 30), q(5, 0, 1, 20)];
+        assert_eq!(s.pick(&queue, &open), Some(1));
+        assert_eq!(batch_ids(&s), [5, 6]);
+    }
+
+    #[test]
+    fn parbs_serves_a_restored_batch_that_is_not_the_oldest_requests() {
+        // A hand-made batch: source 0's id 3 but not its older id 1,
+        // source 1's id 2, and id 9, which is not queued.
+        let mut w = SnapshotWriter::new();
+        w.put_usize(3);
+        for id in [3, 2, 9] {
+            w.put_u64(id);
+        }
+        let blob = w.finish();
+        let mut s = ParBs::new(1);
+        s.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
+            .expect("restore");
+        let mut queue = vec![
+            q(1, 0, 0, 10),
+            q(2, 1, 1, 20),
+            q(3, 0, 0, 30),
+            q(4, 1, 1, 40),
+        ];
+        let open = |_: RankId, b: u16| (b == 0).then_some(RowId(30));
+        // Id 3's row is open: a member hit beats the older members.
+        assert_eq!(s.pick(&queue, &open), Some(2));
+        assert_eq!(batch_ids(&s), [2, 3], "id 9 is not queued and is dropped");
+        s.on_complete(queue.swap_remove(2).id);
+        // Id 2 is a member and the older id 1 is not.
+        assert_eq!(s.pick(&queue, &no_open), Some(1));
+        s.on_complete(queue.swap_remove(1).id);
+        // Drained: the next batch is each source's oldest request.
+        assert_eq!(s.pick(&queue, &no_open), Some(0));
+        assert_eq!(batch_ids(&s), [1, 4]);
+    }
+
+    #[test]
+    fn parbs_batches_sparse_source_numbers() {
+        let mut s = ParBs::new(2);
+        let mut queue = vec![
+            q(10, u16::MAX, 0, 1),
+            q(11, 900, 1, 2),
+            q(12, 40_000, 0, 3),
+            q(13, u16::MAX, 1, 4),
+            q(14, 900, 0, 5),
+            q(15, u16::MAX, 0, 6),
+            q(16, 900, 1, 7),
+            q(17, 40_000, 1, 8),
+        ];
+        // Ids 15 and 17 have their rows open; only 17 is a member.
+        let open = |_: RankId, b: u16| Some(if b == 0 { RowId(6) } else { RowId(8) });
+        assert_eq!(s.pick(&queue, &open), Some(7));
+        assert_eq!(batch_ids(&s), [10, 11, 12, 13, 14, 17]);
+        let mut served = Vec::new();
+        while let Some(i) = s.pick(&queue, &no_open) {
+            let id = queue.swap_remove(i).id;
+            s.on_complete(id);
+            served.push(id);
+        }
+        // The first pick was never completed, so id 17 is still a member.
+        assert_eq!(served, [10, 11, 12, 13, 14, 17, 15, 16]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! renames surface as typed I/O errors retried by the
 //! [`with_retries`] ladder, while torn writes, partial reads, and
 //! bit-rot flow into the salvage decoder and come back as a
-//! [`SalvageSummary`] instead of a crash.
+//! [`SalvageSummary`](twice_workloads::SalvageSummary) instead of a crash.
 //!
 //! The replay side is digest-faithful: [`ReplaySource`] implements
 //! [`AccessSource`] with snapshot hooks, so a replayed trace drives
