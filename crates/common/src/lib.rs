@@ -6,7 +6,8 @@
 //! This crate is the vocabulary layer of the workspace: strongly-typed
 //! identifiers for DRAM structures ([`ids`]), picosecond-resolution time
 //! ([`time`]), DDR timing parameter sets ([`timing`]), main-memory topology
-//! ([`topology`]), a deterministic RNG ([`rng`]), and — most importantly —
+//! ([`topology`]), a deterministic RNG ([`rng`]), a row-keyed map for
+//! sparse per-row state ([`rowmap`]), and — most importantly —
 //! the [`defense::RowHammerDefense`] trait through which the TWiCe engine
 //! and every baseline defense (PARA, PRoHIT, CBT, CRA, …) plug into the
 //! memory-system simulator interchangeably.
@@ -28,6 +29,7 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod rng;
+pub mod rowmap;
 pub mod snapshot;
 pub mod time;
 pub mod timing;

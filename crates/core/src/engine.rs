@@ -573,12 +573,22 @@ impl RowHammerDefense for TwiceEngine {
                 self.tables.len()
             )));
         }
+        let rows = self.params.rows_per_bank;
+        let in_bank = |row: u32| {
+            if row < rows {
+                Ok(RowId(row))
+            } else {
+                Err(SnapshotError::StateMismatch(format!(
+                    "restored row {row} is outside a {rows}-row bank"
+                )))
+            }
+        };
         for t in &mut self.tables {
             t.clear();
             let n = r.take_usize()?;
             for _ in 0..n {
                 let entry = TableEntry {
-                    row: RowId(r.take_u32()?),
+                    row: in_bank(r.take_u32()?)?,
                     act_cnt: r.take_u64()?,
                     life: r.take_u64()?,
                 };
@@ -591,7 +601,7 @@ impl RowHammerDefense for TwiceEngine {
             }
             let n = r.take_usize()?;
             for _ in 0..n {
-                t.mark_corrupted(RowId(r.take_u32()?));
+                t.mark_corrupted(in_bank(r.take_u32()?)?);
             }
         }
         Ok(())
@@ -864,6 +874,43 @@ mod tests {
             RowHammerDefense::load_state(&mut other, &mut r),
             Err(SnapshotError::StateMismatch(_))
         ));
+    }
+
+    #[test]
+    fn snapshot_rejects_rows_outside_the_bank() {
+        use twice_common::snapshot::fnv1a;
+        let field = |v: u32| {
+            let mut w = SnapshotWriter::new();
+            w.put_u32(v);
+            w.finish()[6..11].to_vec()
+        };
+        let rows = TwiceParams::fast_test().rows_per_bank;
+        for org in ALL_ORGS {
+            let mut original = engine(org);
+            original.on_activate(BankId(0), RowId(1234), Time::ZERO);
+            let mut w = SnapshotWriter::new();
+            RowHammerDefense::save_state(&original, &mut w);
+            let mut blob = w.finish();
+            // Point the one entry at a row past the bank, then reseal the
+            // checksum so only the row check can refuse the blob.
+            let (old, new) = (field(1234), field(rows + 1234));
+            let at: Vec<usize> = (0..blob.len() - old.len())
+                .filter(|&i| blob[i..i + old.len()] == old[..])
+                .collect();
+            assert_eq!(at.len(), 1, "{org:?}: one entry names row 1234");
+            blob[at[0]..at[0] + new.len()].copy_from_slice(&new);
+            let n = blob.len() - 8;
+            let sum = fnv1a(&blob[..n]);
+            blob[n..].copy_from_slice(&sum.to_le_bytes());
+
+            let mut restored = engine(org);
+            let mut r = SnapshotReader::new(&blob).expect("resealed blob");
+            let err = RowHammerDefense::load_state(&mut restored, &mut r).expect_err("must reject");
+            assert!(
+                matches!(err, SnapshotError::StateMismatch(_)),
+                "{org:?}: {err}"
+            );
+        }
     }
 
     #[test]

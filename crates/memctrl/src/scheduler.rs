@@ -8,10 +8,11 @@
 //! row-buffer hits first, then oldest first.
 //!
 //! FCFS and FR-FCFS pick in one pass over the queue. PAR-BS records its
-//! members' coordinates when a batch forms, in one pass that keeps each
-//! source's oldest requests. A pick then walks the member list, not the
-//! queue, and scans the queue only for the chosen member's id (see
-//! [`ParBs`]).
+//! members' coordinates and queue slots when a batch forms, in one pass
+//! that keeps each source's oldest requests. A pick then walks the
+//! member list, not the queue, and reads the chosen member's recorded
+//! slot; it scans the queue for the member's id only when a removal has
+//! moved it (see [`ParBs`]).
 
 use crate::addrmap::DecodedAccess;
 use crate::request::MemRequest;
@@ -152,18 +153,22 @@ impl Scheduler for FrFcfs {
 /// Parallelism-aware batch scheduling.
 ///
 /// A batch takes each source's `batch_cap` oldest queued requests. When
-/// it forms, `ParBs` records each member's id, rank, bank and row,
-/// ascending by id. A pick walks that member list: the first member
-/// whose row is open wins, otherwise the first member, and the queue is
-/// then searched for that member's id. A pick therefore asks `open_row`
-/// about members only, up to the first hit, and reads at most one id per
-/// queued request.
+/// it forms, `ParBs` records each member's id, rank, bank, row and queue
+/// slot, ascending by id. A pick walks that member list: the first
+/// member whose row is open wins, otherwise the first member. A pick
+/// therefore asks `open_row` about members only, up to the first hit.
+///
+/// The recorded slot is a hint. A pick checks the queue at that slot
+/// for the member's id, and scans the queue for the id only when the
+/// check fails, which happens when the controller's `swap_remove` moved
+/// the member; the scan then refreshes the hint. Queued ids are unique,
+/// so the hint finds the slot a scan would.
 ///
 /// Membership is "is in the batch". The ascending member ids are the
 /// snapshot and digest encoding and tell when the batch has drained.
 /// `load_state` restores ids only: the first pick after a restore drops
 /// the ids that are no longer queued and reads the rest's coordinates
-/// from the queue.
+/// and slots from the queue.
 #[derive(Debug, Clone)]
 pub struct ParBs {
     batch_cap: usize,
@@ -175,27 +180,33 @@ pub struct ParBs {
     /// Scratch for batch formation: each queued source and how many of
     /// its requests `oldest` holds.
     grants: Vec<(u16, usize)>,
-    /// Scratch for batch formation: `batch_cap` slots per grant, holding
-    /// that source's oldest requests in ascending id order.
-    oldest: Vec<Member>,
+    /// Scratch for batch formation: `batch_cap` places per grant, holding
+    /// the `(id, queue slot)` of that source's oldest requests, ascending
+    /// by id.
+    oldest: Vec<(u64, usize)>,
 }
 
-/// A batch member: a queued request's id and the row it needs open.
+/// A batch member: a queued request's id, the row it needs open, and
+/// where in the queue it was last seen.
 #[derive(Debug, Clone, Copy, Default)]
 struct Member {
     id: u64,
     rank: RankId,
     bank: u16,
     row: RowId,
+    /// The queue slot that held this member when it was last located.
+    slot: usize,
 }
 
 impl Member {
-    fn of(q: &QueuedRequest) -> Member {
+    fn at(queue: &[QueuedRequest], slot: usize) -> Member {
+        let q = &queue[slot];
         Member {
             id: q.id,
             rank: q.access.rank,
             bank: q.access.bank,
             row: q.access.row,
+            slot,
         }
     }
 }
@@ -220,66 +231,84 @@ impl ParBs {
 
     fn form_batch(&mut self, queue: &[QueuedRequest]) {
         // One pass over the (unsorted) queue: each source's grant keeps
-        // its `cap` oldest requests, ascending.
+        // the ids and slots of its `cap` oldest requests, ascending.
         let cap = self.batch_cap;
         self.grants.clear();
         self.oldest.clear();
-        for q in queue {
-            let slot = match self.grants.iter().position(|&(s, _)| s == q.req.source) {
-                Some(slot) => slot,
+        for (slot, q) in queue.iter().enumerate() {
+            let g = match self.grants.iter().position(|&(s, _)| s == q.req.source) {
+                Some(g) => g,
                 None => {
                     self.grants.push((q.req.source, 0));
-                    self.oldest
-                        .resize(self.oldest.len() + cap, Member::default());
+                    self.oldest.resize(self.oldest.len() + cap, (0, 0));
                     self.grants.len() - 1
                 }
             };
-            let kept = &mut self.grants[slot].1;
-            let held = &mut self.oldest[slot * cap..][..cap];
-            if *kept == cap && q.id >= held[cap - 1].id {
+            let kept = &mut self.grants[g].1;
+            let held = &mut self.oldest[g * cap..][..cap];
+            if *kept == cap && q.id >= held[cap - 1].0 {
                 continue;
             }
-            let at = held[..*kept].partition_point(|m| m.id < q.id);
+            // Insertion step: a full grant drops its newest id.
+            let mut at = (*kept).min(cap - 1);
+            while at > 0 && held[at - 1].0 > q.id {
+                held[at] = held[at - 1];
+                at -= 1;
+            }
+            held[at] = (q.id, slot);
             *kept = (*kept + 1).min(cap);
-            held.copy_within(at..*kept - 1, at + 1);
-            held[at] = Member::of(q);
         }
         self.members.clear();
-        for (slot, &(_, kept)) in self.grants.iter().enumerate() {
+        for (g, &(_, kept)) in self.grants.iter().enumerate() {
+            let held = &self.oldest[g * cap..][..kept];
             self.members
-                .extend_from_slice(&self.oldest[slot * cap..][..kept]);
+                .extend(held.iter().map(|&(_, slot)| Member::at(queue, slot)));
         }
         self.members.sort_unstable_by_key(|m| m.id);
     }
 
     /// Drops restored ids that are no longer queued and reads the
-    /// coordinates of the rest from the queue.
+    /// coordinates and slots of the rest from the queue.
     fn adopt_restored(&mut self, queue: &[QueuedRequest]) {
         self.restored = false;
         self.members
-            .retain_mut(|m| match queue.iter().find(|q| q.id == m.id) {
-                Some(q) => {
-                    *m = Member::of(q);
+            .retain_mut(|m| match queue.iter().position(|q| q.id == m.id) {
+                Some(slot) => {
+                    *m = Member::at(queue, slot);
                     true
                 }
                 None => false,
             });
     }
 
+    /// Member `i`'s queue slot, or `None` if it is no longer queued. The
+    /// recorded slot is tried first; a scan by id refreshes it.
+    fn locate(&mut self, i: usize, queue: &[QueuedRequest]) -> Option<usize> {
+        let m = &mut self.members[i];
+        if queue.get(m.slot).is_some_and(|q| q.id == m.id) {
+            return Some(m.slot);
+        }
+        m.slot = queue.iter().position(|q| q.id == m.id)?;
+        Some(m.slot)
+    }
+
     /// The queue slot of the oldest queued member whose row is open,
     /// else of the oldest queued member. A member that left the queue
     /// without `on_complete` is passed over.
     fn walk_members(
-        &self,
+        &mut self,
         queue: &[QueuedRequest],
         open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
     ) -> Option<usize> {
-        let slot = |m: &Member| queue.iter().position(|q| q.id == m.id);
-        self.members
-            .iter()
-            .filter(|m| open_row(m.rank, m.bank) == Some(m.row))
-            .find_map(slot)
-            .or_else(|| self.members.iter().find_map(slot))
+        for i in 0..self.members.len() {
+            let m = &self.members[i];
+            if open_row(m.rank, m.bank) == Some(m.row) {
+                if let Some(slot) = self.locate(i, queue) {
+                    return Some(slot);
+                }
+            }
+        }
+        (0..self.members.len()).find_map(|i| self.locate(i, queue))
     }
 }
 
