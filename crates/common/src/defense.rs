@@ -309,6 +309,12 @@ pub trait RowHammerDefense {
         0
     }
 
+    /// The defense's own fault injector, for telling its fault kinds
+    /// apart (`None` for defenses with no injectable internal state).
+    fn fault_injector(&self) -> Option<&crate::fault::FaultInjector> {
+        None
+    }
+
     /// How hard this defense is currently being pushed: actions fired so
     /// far and the hottest live counter as a fraction of its trigger
     /// threshold. The red-team search scores stealth with this. Defaults

@@ -496,6 +496,10 @@ impl RowHammerDefense for TwiceEngine {
         self.stats.seu_injected
     }
 
+    fn fault_injector(&self) -> Option<&FaultInjector> {
+        Some(&self.injector)
+    }
+
     fn table_occupancy(&self, bank: BankId) -> Option<usize> {
         Some(self.tables[bank.index()].occupancy())
     }

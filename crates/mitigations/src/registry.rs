@@ -74,7 +74,7 @@ impl DefenseKind {
     ];
 
     /// Parses a CLI defense name. This is the single source of truth for
-    /// every subcommand (`redteam`, `trace`, `fleet`, `chaos`, ...);
+    /// every subcommand (`attack`, `profile`, `redteam`, `trace`, ...);
     /// unknown names should be reported with [`DefenseKind::NAMES`] and
     /// exit code 2.
     pub fn parse(name: &str) -> Option<DefenseKind> {

@@ -159,58 +159,7 @@ impl Ctr {
         let name = self.name();
         &name[..name.find('.').expect("every counter name is layer.event")]
     }
-
-    /// The name with `.` replaced by `_` — a JSON/flag-safe key
-    /// (`core.acts` → `core_acts`).
-    pub fn key(self) -> &'static str {
-        match self {
-            Ctr::CoreActs => "core_acts",
-            Ctr::CoreArrs => "core_arrs",
-            Ctr::CorePrunePasses => "core_prune_passes",
-            Ctr::CorePrunedEntries => "core_pruned_entries",
-            Ctr::CorePaSetProbes => "core_pa_set_probes",
-            Ctr::CorePaBorrowedInserts => "core_pa_borrowed_inserts",
-            Ctr::DramBankTransitions => "dram_bank_transitions",
-            Ctr::DramRefreshStalls => "dram_refresh_stalls",
-            Ctr::DramNacksArr => "dram_nacks_arr",
-            Ctr::DramNacksInjected => "dram_nacks_injected",
-            Ctr::MemctrlRequests => "memctrl_requests",
-            Ctr::MemctrlCmdRetries => "memctrl_cmd_retries",
-            Ctr::SimEpochs => "sim_epochs",
-            Ctr::SimCkptWrites => "sim_ckpt_writes",
-            Ctr::SimCkptBytes => "sim_ckpt_bytes",
-            Ctr::SimJournalAppends => "sim_journal_appends",
-            Ctr::SimIoRetries => "sim_io_retries",
-            Ctr::SimTraceFramesRead => "sim_trace_frames_read",
-            Ctr::SimTraceFramesDropped => "sim_trace_frames_dropped",
-            Ctr::SimTraceBytesQuarantined => "sim_trace_bytes_quarantined",
-            Ctr::SimRedteamEvals => "sim_redteam_evals",
-            Ctr::SimRedteamQuarantined => "sim_redteam_quarantined",
-            Ctr::SimRedteamBreaks => "sim_redteam_breaks",
-        }
-    }
-
-    /// Resolves a counter from either its canonical name (`core.acts`)
-    /// or its key form (`core_acts`).
-    pub fn parse(name: &str) -> Option<Ctr> {
-        Ctr::ALL
-            .into_iter()
-            .find(|c| c.name() == name || c.key() == name)
-    }
 }
-
-/// The fleet-heartbeat counter set: deterministic per shard (pure
-/// functions of the shard seed — no wall clock, no cross-shard I/O
-/// state), so telemetry rows built from them are identical across
-/// `--jobs` values.
-pub const HEARTBEAT: [Ctr; 6] = [
-    Ctr::CoreActs,
-    Ctr::CoreArrs,
-    Ctr::CorePrunedEntries,
-    Ctr::DramBankTransitions,
-    Ctr::MemctrlCmdRetries,
-    Ctr::SimEpochs,
-];
 
 /// Value histograms (log2-bucketed, exact quantile bounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -712,7 +661,7 @@ mod registry {
     /// The calling thread's counter values (its arena only — global
     /// totals are in [`snapshot`]). The before/after delta around a
     /// single-threaded piece of work attributes counters to exactly
-    /// that work; the fleet uses this for per-shard heartbeats.
+    /// that work.
     pub fn local_counters() -> [u64; NUM_CTRS] {
         with_local(|l| l.arena.ctrs).unwrap_or([0; NUM_CTRS])
     }
@@ -929,15 +878,11 @@ mod tests {
     }
 
     #[test]
-    fn names_layers_and_keys_are_consistent() {
+    fn names_and_layers_are_consistent() {
         for c in Ctr::ALL {
             assert!(c.name().contains('.'), "{}", c.name());
-            assert!(!c.key().contains('.'), "{}", c.key());
-            assert_eq!(Ctr::parse(c.name()), Some(c));
-            assert_eq!(Ctr::parse(c.key()), Some(c));
-            assert_eq!(c.name().replace('.', "_"), c.key());
+            assert!(["core", "dram", "memctrl", "sim"].contains(&c.layer()));
         }
-        assert_eq!(Ctr::parse("no.such_counter"), None);
         for s in SpanId::ALL {
             assert!(["core", "dram", "memctrl", "sim"].contains(&s.layer()));
         }

@@ -11,8 +11,7 @@
 //! $ twice-exp chaos --journal out/        # crash-safe fault campaign
 //! $ twice-exp chaos --resume out/         # resume a killed campaign
 //! $ twice-exp chaos --storage-faults 7 --journal out/  # storage torture
-//! $ twice-exp fleet --shards 1000 --jobs 8 --journal out/  # fleet run
-//! $ twice-exp fleet --shards 64 --device-faults 9 --journal out/
+//! $ twice-exp chaos --sabotage 2          # two failing cells: exit 4
 //! $ twice-exp profile --obs-out trace.json  # instrumented cell + trace
 //! $ twice-exp trace record --workload mica --file m.twt2   # binary trace
 //! $ twice-exp trace replay --file m.twt2 --defense twice   # digest-faithful
@@ -27,12 +26,16 @@
 //! Failures exit with a distinct code and one structured line on stderr
 //! (`twice-exp: error experiment=… cell=… cause="…"`):
 //!
-//! * `2` — unknown command, defense, workload, or SPEC app name
-//! * `3` — invalid flag value (`--seed`, `--requests`, `--resume`, …)
+//! * `2` — unknown command, defense, workload, or SPEC app name; a
+//!   `chaos`/`redteam` journal that records a different run ("different
+//!   campaign": other seed, scale, sabotage or defense)
+//! * `3` — invalid flag value (`--seed`, `--requests`, `--resume`,
+//!   `--halt-after 0`, …)
 //! * `4` — the run completed but in degraded mode: at least one chaos
-//!   cell or fleet shard was quarantined after exhausting its retry
-//!   ladder (the report is still printed; the storage summary or
-//!   `FleetSummary` goes to stderr)
+//!   cell ended without an outcome — quarantined after its I/O retries,
+//!   panicked (a `--sabotage` cell included) or over a budget. The
+//!   report is still printed and each such cell gets a `degraded cell`
+//!   line on stderr. A hardened bit flip (exit 1) wins over it.
 //! * `75` — campaign intentionally halted by `--halt-after` (tempfail,
 //!   in the sysexits tradition: rerun with `--resume` to continue)
 //! * `1` — everything else (I/O, a failed safety property)
@@ -40,14 +43,8 @@
 //! `chaos --storage-faults SEED` wraps every journal/checkpoint byte in
 //! a fault-injecting storage layer (ENOSPC, torn writes, partial reads,
 //! failed renames, bit-rot) to exercise the self-healing ladder:
-//! journal salvage, checkpoint recomputation, bounded per-cell retry
-//! (`--retries`/`--backoff-ms`), and quarantine.
-//!
-//! `fleet --device-faults SEED` arms every shard's device fault
-//! injectors (stuck bank FSMs, dropped refresh windows, counter-SRAM
-//! soft errors); shards that panic or blow their deadline restart from
-//! their last epoch checkpoint and are quarantined only after the
-//! supervision ladder is exhausted — the fleet degrades, never aborts.
+//! journal salvage, checkpoint recomputation, bounded per-cell retry of
+//! I/O failures (`--retries`/`--backoff-ms`), and quarantine.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,7 +58,7 @@ use twice_sim::config::SimConfig;
 use twice_sim::experiments::{
     ablation, capacity, ecc, fig7, latency, storage, table1, table2, table3, table4,
 };
-use twice_sim::grid::Supervision;
+use twice_sim::grid::{OpenError, Supervision};
 use twice_sim::parallel::default_jobs;
 use twice_sim::runner::WorkloadKind;
 use twice_sim::verify::confront;
@@ -71,7 +68,7 @@ const EXIT_UNKNOWN_NAME: u8 = 2;
 /// Exit code for malformed flag values.
 const EXIT_BAD_FLAG: u8 = 3;
 /// Exit code for a campaign that completed in degraded mode (at least
-/// one cell quarantined after exhausting its I/O retry budget).
+/// one cell ended without an outcome).
 const EXIT_DEGRADED: u8 = 4;
 /// Exit code when `--halt-after` stops a campaign early (tempfail).
 const EXIT_HALTED: u8 = 75;
@@ -151,13 +148,7 @@ struct Args {
     storage_faults: Option<u64>,
     retries: Option<u32>,
     backoff_ms: Option<u64>,
-    shards: Option<usize>,
-    device_faults: Option<u64>,
-    dead_shards: Option<usize>,
-    attackers: Option<u16>,
-    telemetry_every: Option<usize>,
     obs_out: Option<String>,
-    heartbeat_counters: Option<String>,
     population: Option<usize>,
     generations: Option<u32>,
     corpus: Option<PathBuf>,
@@ -208,13 +199,7 @@ fn parse_args() -> Result<Option<Args>, CliError> {
         storage_faults: None,
         retries: None,
         backoff_ms: None,
-        shards: None,
-        device_faults: None,
-        dead_shards: None,
-        attackers: None,
-        telemetry_every: None,
         obs_out: None,
-        heartbeat_counters: None,
         population: None,
         generations: None,
         corpus: None,
@@ -242,7 +227,11 @@ fn parse_args() -> Result<Option<Args>, CliError> {
                 out.epoch = Some(epoch);
             }
             "--halt-after" => {
-                out.halt_after = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
+                let halt_after: usize = parse_number(&flag, &flag_value(&mut args, &flag)?)?;
+                if halt_after == 0 {
+                    return Err(CliError::bad_flag("-", "--halt-after must be at least 1"));
+                }
+                out.halt_after = Some(halt_after);
             }
             "--wall-budget-ms" => {
                 out.wall_budget_ms = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
@@ -270,34 +259,7 @@ fn parse_args() -> Result<Option<Args>, CliError> {
             "--backoff-ms" => {
                 out.backoff_ms = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
             }
-            "--shards" => {
-                let shards: usize = parse_number(&flag, &flag_value(&mut args, &flag)?)?;
-                if shards == 0 {
-                    return Err(CliError::bad_flag("-", "--shards must be at least 1"));
-                }
-                out.shards = Some(shards);
-            }
-            "--device-faults" => {
-                out.device_faults = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
-            }
-            "--dead-shards" => {
-                out.dead_shards = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
-            }
-            "--attackers" => {
-                out.attackers = Some(parse_number(&flag, &flag_value(&mut args, &flag)?)?)
-            }
-            "--telemetry-every" => {
-                let every: usize = parse_number(&flag, &flag_value(&mut args, &flag)?)?;
-                if every == 0 {
-                    return Err(CliError::bad_flag(
-                        "-",
-                        "--telemetry-every must be at least 1",
-                    ));
-                }
-                out.telemetry_every = Some(every);
-            }
             "--obs-out" => out.obs_out = Some(flag_value(&mut args, &flag)?),
-            "--heartbeat-counters" => out.heartbeat_counters = Some(flag_value(&mut args, &flag)?),
             "--population" => {
                 let population: usize = parse_number(&flag, &flag_value(&mut args, &flag)?)?;
                 if population < 2 {
@@ -370,8 +332,7 @@ fn usage() -> ExitCode {
          \x20 latency   ACT-latency spike comparison (S3 + S2)\n\
          \x20 ecc       ECC scrubbing fault experiment\n\
          \x20 attack    S3 confrontation on the scaled system\n\
-         \x20 chaos     fault-injection campaign (SEU sweep + bus gauntlet)\n\
-         \x20 fleet     supervised many-shard fleet (multi-tenant blend, quarantine)\n\
+         \x20 chaos     fault-injection campaign (SEU sweep, bus gauntlet, device faults)\n\
          \x20 profile   run one instrumented cell ([--workload NAME] [--defense NAME])\n\
          \x20           and write a chrome://tracing trace to --obs-out\n\
          \x20 redteam   supervised adversarial search: evolve hammer-pattern genomes\n\
@@ -392,28 +353,21 @@ fn usage() -> ExitCode {
          common flags:\n\
          \x20 --jobs N            worker threads for experiment grids\n\
          \x20                     (default: available parallelism; 1 = serial)\n\
-         chaos/fleet flags:\n\
+         chaos flags:\n\
          \x20 --seed N            override the simulation seed\n\
          \x20 --journal DIR       journal completed cells + epoch checkpoints to DIR\n\
-         \x20 --resume DIR        resume a killed campaign/fleet from DIR (must exist)\n\
+         \x20 --resume DIR        resume a killed campaign from DIR (must exist; a\n\
+         \x20                     journal of a different run exits 2)\n\
          \x20 --epoch N           requests per checkpoint/watchdog epoch\n\
-         \x20 --halt-after N      stop after N fresh cells (crash simulation, exit 75)\n\
+         \x20 --halt-after N      stop after N (>= 1) fresh cells (crash simulation, exit 75)\n\
          \x20 --wall-budget-ms N  per-cell wall-clock watchdog\n\
          \x20 --sim-budget-ps N   per-cell simulated-time watchdog (picoseconds)\n\
          \x20 --storage-faults S  inject seeded storage faults into every journal/\n\
-         \x20                     checkpoint path (exit 4 if any cell is quarantined)\n\
-         \x20 --retries N         attempts per failing cell/shard before quarantine\n\
+         \x20                     checkpoint path\n\
+         \x20 --retries N         attempts per I/O-failing cell before quarantine\n\
          \x20 --backoff-ms N      linear backoff between attempts\n\
-         fleet flags:\n\
-         \x20 --shards N          shard instances to run (default 64)\n\
-         \x20 --attackers N       attacker tenants per 16-tenant shard (default 2)\n\
-         \x20 --device-faults S   arm the recoverable device fault plan (stuck bank\n\
-         \x20                     FSMs, dropped refreshes, counter soft errors)\n\
-         \x20 --dead-shards N     sabotage N shards (panics + deadline overruns)\n\
-         \x20 --telemetry-every N cumulative telemetry row cadence (default 16)\n\
-         \x20 --heartbeat-counters LIST\n\
-         \x20                     comma-separated obs counters carried on telemetry\n\
-         \x20                     rows (default: the full deterministic heartbeat set)\n\
+         \x20 --sabotage N        append N cells that fail by construction (injected\n\
+         \x20                     panic, 1 ps sim budget) to exercise exit 4\n\
          profile flags:\n\
          \x20 --obs-out PATH      trace_event JSON output (default profile-trace.json)\n\
          redteam flags:\n\
@@ -429,10 +383,11 @@ fn usage() -> ExitCode {
          \x20  budget/storage/retry flags work as for chaos)\n\
          exit codes:\n\
          \x20  0  success\n\
-         \x20  2  unknown command, defense, workload, or SPEC app name\n\
-         \x20  3  invalid flag value (e.g. --jobs 0, --shards 0)\n\
-         \x20  4  completed degraded: at least one cell/shard quarantined\n\
-         \x20     (fleet prints its FleetSummary on stderr), a trace\n\
+         \x20  2  unknown command, defense, workload, or SPEC app name; a\n\
+         \x20     chaos/redteam journal of a different campaign\n\
+         \x20  3  invalid flag value (e.g. --jobs 0, --halt-after 0)\n\
+         \x20  4  completed degraded: a chaos cell ended without an outcome\n\
+         \x20     (quarantined, panicked or over a budget), a trace\n\
          \x20     replayed/verified only after salvage dropped frames, or a\n\
          \x20     defense fell to the red-team corpus (redteam/redteam verify)\n\
          \x20  2  (trace) the trace file is unusable: damaged header,\n\
@@ -445,7 +400,7 @@ fn usage() -> ExitCode {
     ExitCode::from(EXIT_UNKNOWN_NAME)
 }
 
-/// The supervision knobs `chaos`, `fleet` and `redteam` share, filled
+/// The supervision knobs `chaos` and `redteam` share, filled
 /// from `--journal`/`--resume`, `--jobs`, `--retries`, `--backoff-ms`,
 /// `--storage-faults`, `--halt-after` and the two budget flags. The
 /// `--resume` directory must exist and excludes `--journal`.
@@ -515,10 +470,13 @@ fn run_chaos(args: &Args) -> Result<ExitCode, CliError> {
     if let Some(epoch) = args.epoch {
         cc.epoch = epoch;
     }
+    cc.sabotage = args.sabotage.unwrap_or(0);
     cc.sup = supervision(args, "chaos")?;
 
-    let report = twice_sim::campaign::chaos_campaign(&cfg, &cc)
-        .map_err(|e| CliError::failure("chaos", "-", format!("journal I/O failed: {e}")))?;
+    let report = twice_sim::campaign::chaos_campaign(&cfg, &cc).map_err(|e| match e {
+        OpenError::ForeignJournal(_) => CliError::unusable("chaos", e.to_string()),
+        OpenError::Io(_) => CliError::failure("chaos", "-", format!("journal I/O failed: {e}")),
+    })?;
 
     // The report goes to stdout and is byte-identical between a clean
     // run and a kill+resume; bookkeeping notes go to stderr.
@@ -548,118 +506,15 @@ fn run_chaos(args: &Args) -> Result<ExitCode, CliError> {
             format!("hardened engine recorded {hardened_flips} bit flip(s)"),
         ));
     }
-    if report.storage.quarantined_cells > 0 {
+    if report.failed > 0 {
         // The campaign completed and the report above is trustworthy,
-        // but quarantined cells are missing from it: a distinct exit
-        // code so supervisors can tell "done" from "done, degraded".
+        // but cells without an outcome are missing from it: a distinct
+        // exit code so supervisors can tell "done" from "done, degraded".
         eprintln!(
-            "twice-exp: degraded: {} cell(s) quarantined after exhausting retries",
-            report.storage.quarantined_cells
+            "twice-exp: degraded: {} cell(s) ended without an outcome \
+             ({} quarantined after exhausting retries)",
+            report.failed, report.storage.quarantined_cells
         );
-        return Ok(ExitCode::from(EXIT_DEGRADED));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Parses `--heartbeat-counters`: a comma-separated list of counter
-/// names (`core.acts` or `core_acts` form). An unrecognized counter
-/// name exits 2 like any other unknown name; a real counter outside
-/// the deterministic [`twice_obs::HEARTBEAT`] set is an invalid *value*
-/// (exit 3) — carrying it would break the rows-identical-across-jobs
-/// telemetry contract.
-fn parse_heartbeat(spec: &str) -> Result<Vec<twice_obs::Ctr>, CliError> {
-    let mut out = Vec::new();
-    for name in spec.split(',').map(str::trim) {
-        if name.is_empty() {
-            continue;
-        }
-        let Some(c) = twice_obs::Ctr::parse(name) else {
-            return Err(CliError::unknown(
-                "fleet",
-                format!("unknown counter \"{name}\""),
-            ));
-        };
-        if !twice_obs::HEARTBEAT.contains(&c) {
-            return Err(CliError::bad_flag(
-                "fleet",
-                format!(
-                    "counter \"{name}\" is not heartbeat-safe; choose from: {}",
-                    twice_obs::HEARTBEAT.map(|h| h.name()).join(", ")
-                ),
-            ));
-        }
-        if !out.contains(&c) {
-            out.push(c);
-        }
-    }
-    if out.is_empty() {
-        return Err(CliError::bad_flag(
-            "fleet",
-            "--heartbeat-counters needs at least one counter name",
-        ));
-    }
-    Ok(out)
-}
-
-/// `twice-exp fleet`: the supervised many-shard fleet. Every shard is
-/// an independent scaled system running the 16-tenant attacker/benign
-/// blend; panicking, over-deadline, or I/O-starved shards are
-/// quarantined (exit 4 with the `FleetSummary` on stderr) instead of
-/// aborting the fleet. `--journal DIR` makes the run durable and
-/// resumable; on `--resume` the journaled fleet meta wins over flags.
-fn run_fleet(args: &Args) -> Result<ExitCode, CliError> {
-    let mut fc = twice_sim::fleet::FleetConfig::new(args.shards.unwrap_or(64));
-    fc.requests = args.requests.unwrap_or(2_000);
-    if let Some(epoch) = args.epoch {
-        fc.epoch = epoch;
-    }
-    if let Some(seed) = args.seed {
-        fc.seed = seed;
-    }
-    fc.attackers = args.attackers.unwrap_or(2);
-    fc.device_faults = args.device_faults;
-    fc.dead_shards = args.dead_shards.unwrap_or(0);
-    if let Some(every) = args.telemetry_every {
-        fc.telemetry_every = every;
-    }
-    if let Some(spec) = &args.heartbeat_counters {
-        fc.heartbeat = parse_heartbeat(spec)?;
-    }
-    fc.sup = supervision(args, "fleet")?;
-    // Dead shards stall on purpose; a default wall budget keeps any
-    // non-deterministic hang from wedging the whole fleet.
-    fc.wall_budget_ms.get_or_insert(30_000);
-
-    let report = twice_sim::fleet::run_fleet(&fc)
-        .map_err(|e| CliError::failure("fleet", "-", format!("fleet I/O failed: {e}")))?;
-
-    recovery_notes("shard", report.salvaged, &report.storage);
-    for shard in &report.shards {
-        if let Err(e) = &shard.result {
-            eprintln!("twice-exp: quarantined shard {}: {e}", shard.index);
-        }
-    }
-    if report.halted {
-        return Ok(halted("shard", report.shards.len()));
-    }
-    println!("{}", report.summary);
-    for row in &report.telemetry {
-        println!("{row}");
-    }
-    if report.summary.bit_flips > 0 {
-        return Err(CliError::failure(
-            "fleet",
-            "-",
-            format!(
-                "{} bit flip(s) escaped the defense across the fleet",
-                report.summary.bit_flips
-            ),
-        ));
-    }
-    if report.summary.quarantined > 0 {
-        // Degrade, don't die: the fleet completed around its quarantined
-        // shards. The summary on stderr is the supervisor-facing signal.
-        eprintln!("twice-exp: degraded: {}", report.summary);
         return Ok(ExitCode::from(EXIT_DEGRADED));
     }
     Ok(ExitCode::SUCCESS)
@@ -1165,12 +1020,6 @@ fn main() -> ExitCode {
         }
         "chaos" => {
             return match run_chaos(&args) {
-                Ok(code) => code,
-                Err(e) => e.report(),
-            };
-        }
-        "fleet" => {
-            return match run_fleet(&args) {
                 Ok(code) => code,
                 Err(e) => e.report(),
             };

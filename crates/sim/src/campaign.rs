@@ -1,29 +1,31 @@
 //! The supervised, crash-safe chaos campaign.
 //!
-//! The chaos fault grid ([`chaos::fault_grid`], each plan against the
+//! The chaos fault grid ([`chaos::fault_grid`], each row against the
 //! hardened and the unhardened engine) runs on the [`crate::grid`]
-//! runner, which owns sweeps, journal salvage, the pooled cell loop,
-//! supervision and the checkpointed epoch loop. What stays here is the
-//! grid and the outcome codec of the journal (`cells.jsonl`).
+//! runner, which owns sweeps, the journal-shape check, journal salvage,
+//! the pooled cell loop, supervision and the checkpointed epoch loop.
+//! What stays here is the grid, the `--sabotage` cells appended after
+//! it, the meta line and the outcome codec of the journal
+//! (`cells.jsonl`).
 //!
-//! Chaos cells are deterministic, so only I/O failures are retried
-//! ([`Retry::IoOnly`]): a panicking or over-budget cell becomes an error
-//! row at once, a cell whose storage keeps failing is quarantined. The
-//! report, the journal bytes and every per-cell digest are identical
-//! across worker counts and across kill + resume (DESIGN.md §5e,
+//! Chaos cells are deterministic, so only I/O failures are retried: a
+//! panicking or over-budget cell becomes an error row at once, a cell
+//! whose storage keeps failing is quarantined. The report, the journal
+//! bytes and every per-cell digest are identical across worker counts
+//! and across kill + resume (DESIGN.md §5e,
 //! `crates/sim/tests/parallel_equivalence.rs`).
 
 use crate::checkpoint::ResumableRun;
 use crate::cio::StorageSummary;
 use crate::config::SimConfig;
 use crate::experiments::chaos::{self, ChaosOutcome};
-use crate::grid::{deref_to_supervision, Attempt, Grid, Supervision};
+use crate::grid::{deref_to_supervision, sim_watchdog, Attempt, Grid, OpenError, Supervision};
 use crate::journal::{emit_line, parse_line, seal_line, unseal_line, JsonValue};
 use crate::metrics::CampaignTotals;
 use crate::outcome::{Cell, CellError};
+use crate::redteam::Poison;
 use crate::report::Table;
 use crate::runner::WorkloadKind;
-use crate::supervisor::Retry;
 use std::collections::HashMap;
 use twice_common::fault::FaultPlan;
 use twice_mitigations::DefenseKind;
@@ -42,6 +44,11 @@ pub struct CampaignConfig {
     /// The defense every cell runs (the chaos default is the paper's
     /// fully-associative TWiCe).
     pub defense: DefenseKind,
+    /// Cells appended after the real grid that fail by construction,
+    /// alternating an injected panic and a 1 ps sim-time budget, so the
+    /// degraded path is exercised end to end. The real rows keep their
+    /// results, and the sabotaged cells stay out of the report table.
+    pub sabotage: usize,
     /// Directory, workers, retries, budgets, halt, storage layer.
     pub sup: Supervision,
 }
@@ -50,13 +57,14 @@ deref_to_supervision!(CampaignConfig);
 
 impl CampaignConfig {
     /// A plain in-memory campaign: `requests` per cell, 4096-request
-    /// epochs, the default [`Supervision`] (one worker, real I/O, up to
-    /// 3 attempts per I/O-failing cell, no budgets).
+    /// epochs, no sabotage, the default [`Supervision`] (one worker, real
+    /// I/O, up to 3 attempts per I/O-failing cell, no budgets).
     pub fn new(requests: u64) -> CampaignConfig {
         CampaignConfig {
             requests,
             epoch: 4096,
             defense: chaos::chaos_defense(),
+            sabotage: 0,
             sup: Supervision::default(),
         }
     }
@@ -75,14 +83,19 @@ pub struct CampaignCell {
 /// A finished (or halted) campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// The rendered report table (grid order, failures as error rows).
+    /// The rendered report table: the fault grid in order, failures as
+    /// error rows (sabotaged cells are in `cells` only).
     pub table: Table,
-    /// Per-cell outcomes in grid order (partial if halted).
+    /// Per-cell outcomes in grid order, sabotaged cells last (partial
+    /// if halted).
     pub cells: Vec<CampaignCell>,
     /// Whether `halt_after` stopped the campaign early.
     pub halted: bool,
     /// How many cells were salvaged from the journal.
     pub salvaged: usize,
+    /// How many accounted cells ended without an outcome: quarantined,
+    /// panicked or over a budget. Non-zero means a degraded run.
+    pub failed: usize,
     /// Aggregates over the completed hardened (scrubbing) cells, merged
     /// per cell at collection time — workers never share an accumulator.
     pub hardened: CampaignTotals,
@@ -99,7 +112,9 @@ struct CellSpec {
     id: String,
     label: String,
     plan: FaultPlan,
+    workload: WorkloadKind,
     scrubbing: bool,
+    sabotage: Option<Poison>,
 }
 
 fn cell_id(label: &str, scrubbing: bool) -> String {
@@ -109,22 +124,53 @@ fn cell_id(label: &str, scrubbing: bool) -> String {
     )
 }
 
-fn grid_specs(cfg_base: &SimConfig) -> Vec<CellSpec> {
+fn grid_specs(cfg_base: &SimConfig, sabotage: usize) -> Vec<CellSpec> {
     let mut specs = Vec::new();
-    for (label, plan) in chaos::fault_grid(cfg_base.seed ^ 0xC4A0) {
+    for row in chaos::fault_grid(cfg_base.seed ^ 0xC4A0) {
         for scrubbing in [true, false] {
             specs.push(CellSpec {
-                id: cell_id(&label, scrubbing),
-                label: label.clone(),
-                plan: plan.clone(),
+                id: cell_id(&row.label, scrubbing),
+                label: row.label.clone(),
+                plan: row.plan.clone(),
+                workload: row.workload.clone(),
                 scrubbing,
+                sabotage: None,
             });
         }
+    }
+    for n in 1..=sabotage {
+        let label = format!("sabotage {n}");
+        specs.push(CellSpec {
+            id: cell_id(&label, true),
+            label,
+            plan: FaultPlan::default(),
+            workload: WorkloadKind::S3,
+            scrubbing: true,
+            sabotage: Some(if n % 2 == 1 {
+                Poison::Panic
+            } else {
+                Poison::SimBudget
+            }),
+        });
     }
     specs
 }
 
-/// Runs the chaos fault grid under supervision on `cc.jobs` workers.
+/// The journal's first line: everything that fixes the cells' results.
+/// A resume whose journal opens with any other line is refused.
+fn meta_line(cfg_base: &SimConfig, cc: &CampaignConfig) -> String {
+    seal_line(&emit_line(&[
+        ("campaign", JsonValue::Str("chaos".to_string())),
+        ("seed", JsonValue::U64(cfg_base.seed)),
+        ("requests", JsonValue::U64(cc.requests)),
+        ("epoch", JsonValue::U64(cc.epoch)),
+        ("sabotage", JsonValue::U64(cc.sabotage as u64)),
+        ("defense", JsonValue::Str(cc.defense.to_string())),
+    ]))
+}
+
+/// Runs the chaos fault grid, then the `cc.sabotage` cells, under
+/// supervision on `cc.jobs` workers.
 ///
 /// Storage faults do not abort the campaign: corrupt journals are
 /// salvaged, corrupt checkpoints recomputed, I/O-failing cells retried
@@ -133,23 +179,28 @@ fn grid_specs(cfg_base: &SimConfig) -> Vec<CellSpec> {
 ///
 /// # Errors
 ///
-/// Only unrecoverable setup I/O: the campaign directory cannot be
-/// created, or the journal cannot be read at all.
+/// [`OpenError::ForeignJournal`] when the directory's journal records
+/// a different run, or [`OpenError::Io`] when the campaign directory
+/// cannot be created or the journal cannot be read at all.
 pub fn chaos_campaign(
     cfg_base: &SimConfig,
     cc: &CampaignConfig,
-) -> std::io::Result<CampaignReport> {
-    let (grid, lines) = Grid::open(&cc.sup, JOURNAL_FILE, parse_journal_line)?;
+) -> Result<CampaignReport, OpenError> {
+    let meta = meta_line(cfg_base, cc);
+    let (grid, lines) = Grid::open(&cc.sup, JOURNAL_FILE, &meta, parse_journal_line)?;
     let journaled: HashMap<String, ChaosOutcome> = lines.into_iter().collect();
-    let specs = grid_specs(cfg_base);
+    let specs = grid_specs(cfg_base, cc.sabotage);
     let done = grid.run(
         &specs,
-        Retry::IoOnly,
         |spec| journaled.get(&spec.id).cloned(),
         |attempt, spec| attempt_cell(attempt, cfg_base, spec, cc),
         |spec, o| journal_line(&spec.id, o),
-        |_, _| {},
     );
+    // Sabotaged cells come last in grid order, so they are a suffix.
+    let sabotaged = done
+        .iter()
+        .filter(|d| specs[d.index].sabotage.is_some())
+        .count();
     let cells: Vec<CampaignCell> = done
         .into_iter()
         .map(|done| CampaignCell {
@@ -163,6 +214,7 @@ pub fn chaos_campaign(
         .collect();
 
     let salvaged = cells.iter().filter(|c| c.salvaged).count();
+    let failed = cells.iter().filter(|c| c.outcome.result.is_err()).count();
     let mut hardened = CampaignTotals::default();
     let mut unhardened = CampaignTotals::default();
     for cell in &cells {
@@ -175,21 +227,24 @@ pub fn chaos_campaign(
             side.merge(&o.totals());
         }
     }
-    let table = chaos::render_table(cells.iter().map(|c| &c.outcome));
+    let table = chaos::render_table(cells[..cells.len() - sabotaged].iter().map(|c| &c.outcome));
     Ok(CampaignReport {
         table,
         cells,
         halted: grid.halted(),
         salvaged,
+        failed,
         hardened,
         unhardened,
         storage: grid.storage(),
     })
 }
 
-/// One attempt at one cell: the S3 hammer under the cell's fault plan.
-/// An exhausted controller retry budget is chaos data, not a cell
-/// failure: it is recorded and the partial metrics reported.
+/// One attempt at one cell: the row's workload under its fault plan,
+/// with the sabotage, if any, at the first epoch boundary — before the
+/// checkpoint, so no attempt ever persists its progress. An exhausted
+/// controller retry budget is chaos data, not a cell failure: it is
+/// recorded and the partial metrics reported.
 fn attempt_cell(
     attempt: &Attempt<'_>,
     cfg_base: &SimConfig,
@@ -200,8 +255,12 @@ fn attempt_cell(
     let (run, exhausted) = attempt.run_epochs(
         &spec.id,
         cc.epoch,
-        || ResumableRun::new(&cfg, &WorkloadKind::S3, cc.defense, cc.requests),
-        |_| Ok(()),
+        || ResumableRun::new(&cfg, &spec.workload, cc.defense, cc.requests),
+        |run| match spec.sabotage {
+            Some(Poison::Panic) => panic!("sabotage: injected cell panic"),
+            Some(Poison::SimBudget) => sim_watchdog(Some(1), run.system(), run.requests_done()),
+            None => Ok(()),
+        },
     )?;
     Ok(chaos::collect_outcome(
         run.system(),
@@ -257,13 +316,18 @@ mod tests {
     use std::io;
     use std::path::{Path, PathBuf};
     use std::sync::{Arc, Mutex};
+    use twice_common::fault::FaultKind;
 
-    fn spec(label: &str, plan: FaultPlan, scrubbing: bool) -> CellSpec {
+    /// The first grid row's cell under `scrubbing`.
+    fn first_spec(cfg: &SimConfig, scrubbing: bool) -> CellSpec {
+        let row = chaos::fault_grid(cfg.seed ^ 0xC4A0).remove(0);
         CellSpec {
-            id: cell_id(label, scrubbing),
-            label: label.to_string(),
-            plan,
+            id: cell_id(&row.label, scrubbing),
+            label: row.label,
+            plan: row.plan,
+            workload: row.workload,
             scrubbing,
+            sabotage: None,
         }
     }
 
@@ -317,15 +381,13 @@ mod tests {
         let mut cc = CampaignConfig::new(50_000);
         cc.epoch = 128;
         cc.wall_budget_ms = Some(0); // fires at the first epoch boundary
-        let grid = chaos::fault_grid(cfg.seed ^ 0xC4A0);
-        let (label, plan) = &grid[0];
         let events = StorageEvents::default();
         let attempt = Attempt {
             sup: &cc.sup,
             events: &events,
             ckpt: None,
         };
-        let cell = attempt_cell(&attempt, &cfg, &spec(label, plan.clone(), true), &cc);
+        let cell = attempt_cell(&attempt, &cfg, &first_spec(&cfg, true), &cc);
         match cell {
             Err(CellError::WallClockExceeded { done, .. }) => {
                 assert!(done >= 128, "at least one epoch ran: {done}");
@@ -410,15 +472,13 @@ mod tests {
         let mut cc = CampaignConfig::new(50_000);
         cc.epoch = 256;
         cc.sim_budget_ps = Some(1); // any simulated progress exceeds this
-        let grid = chaos::fault_grid(cfg.seed ^ 0xC4A0);
-        let (label, plan) = &grid[0];
         let events = StorageEvents::default();
         let attempt = Attempt {
             sup: &cc.sup,
             events: &events,
             ckpt: None,
         };
-        let cell = attempt_cell(&attempt, &cfg, &spec(label, plan.clone(), false), &cc);
+        let cell = attempt_cell(&attempt, &cfg, &first_spec(&cfg, false), &cc);
         assert!(
             matches!(cell, Err(CellError::SimTimeExceeded { .. })),
             "{cell:?}"
@@ -501,6 +561,11 @@ mod tests {
                 cell.outcome.result
             );
         }
+        assert_eq!(
+            report.failed,
+            report.cells.len(),
+            "every over-budget cell ended without an outcome"
+        );
         let checkpoints: Vec<PathBuf> = io
             .writes
             .lock()
@@ -514,5 +579,96 @@ mod tests {
             "over-budget epochs were checkpointed: {checkpoints:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sabotaged_cells_fail_after_the_grid_and_the_real_rows_keep_their_results() {
+        let cfg = SimConfig::fast_test();
+        let mut cc = CampaignConfig::new(3_000);
+        cc.epoch = 1_024;
+        let clean = chaos_campaign(&cfg, &cc).expect("clean campaign");
+        cc.sabotage = 2;
+        cc.jobs = 2;
+        let sabotaged = chaos_campaign(&cfg, &cc).expect("sabotaged campaign");
+        assert_eq!(sabotaged.cells.len(), clean.cells.len() + 2);
+        assert_eq!(sabotaged.table.to_string(), clean.table.to_string());
+        assert_eq!(sabotaged.failed, 2);
+        assert_eq!(sabotaged.storage.quarantined_cells, 0);
+        let tail: Vec<String> = sabotaged.cells[clean.cells.len()..]
+            .iter()
+            .map(|c| {
+                let err = c.outcome.result.as_ref().expect_err("sabotage fails");
+                format!("{} {err}", c.outcome.cell)
+            })
+            .collect();
+        assert_eq!(
+            tail,
+            [
+                "sabotage 1/hardened panicked: sabotage: injected cell panic",
+                "sabotage 2/hardened sim-time budget 1 ps exceeded after 1024 requests",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_resume_refuses_a_journal_from_a_different_run() {
+        let cfg = SimConfig::fast_test();
+        let mut cc = CampaignConfig::new(4_000);
+        cc.epoch = 1_024;
+        let clean = chaos_campaign(&cfg, &cc).expect("clean campaign");
+
+        let dir = std::env::temp_dir().join(format!("twice-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        cc.dir = Some(dir.clone());
+        cc.halt_after = Some(3);
+        assert!(chaos_campaign(&cfg, &cc).expect("halted").halted);
+
+        cc.halt_after = None;
+        cc.resume = true;
+        let mut other = cfg.clone();
+        other.seed ^= 1;
+        let err = chaos_campaign(&other, &cc).expect_err("another seed's journal");
+        assert!(err.to_string().contains("different campaign"), "{err}");
+        cc.requests = 6_000;
+        let err = chaos_campaign(&cfg, &cc).expect_err("another scale's journal");
+        assert!(err.to_string().contains("different campaign"), "{err}");
+
+        cc.requests = 4_000;
+        let resumed = chaos_campaign(&cfg, &cc).expect("resume under the first seed");
+        assert_eq!(resumed.salvaged, 3);
+        assert_eq!(resumed.table.to_string(), clean.table.to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_device_row_arms_every_device_fault_and_flips_nothing() {
+        let cfg = SimConfig::fast_test();
+        let row = chaos::fault_grid(cfg.seed ^ 0xC4A0)
+            .into_iter()
+            .find(|r| r.label == "device faults")
+            .expect("the grid has a device row");
+        let cell = chaos::cell_config(&cfg, row.plan, true);
+        let mut run = ResumableRun::new(&cell, &row.workload, chaos::chaos_defense(), 20_000)
+            .expect("valid cell");
+        run.run_to_completion(4_096)
+            .expect("the device row never exhausts");
+        let injected = |kind: FaultKind| -> u64 {
+            run.system()
+                .controllers()
+                .iter()
+                .map(|c| {
+                    let engine = c.rcd().defense().fault_injector().expect("TWiCe injects");
+                    c.rcd().fault_injector().injected(kind) + engine.injected(kind)
+                })
+                .sum()
+        };
+        for kind in [
+            FaultKind::BankStuck,
+            FaultKind::RefreshDrop,
+            FaultKind::CounterStuckBit,
+        ] {
+            assert!(injected(kind) > 0, "{kind:?} never fired");
+        }
+        assert_eq!(run.system().bit_flip_count(), 0);
     }
 }

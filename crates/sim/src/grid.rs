@@ -1,31 +1,37 @@
-//! The one supervised grid runner behind `chaos`, `fleet` and `redteam`.
+//! The one supervised grid runner behind `chaos` and `redteam`.
 //!
 //! A *grid* is an ordered list of independent cells: the chaos fault
-//! grid's cells, a fleet's shards, one red-team generation's genome
-//! slots. Every driver needs the same machinery around its cells, and
-//! this module owns all of it:
+//! grid's cells, one red-team generation's genome slots. Every driver
+//! needs the same machinery around its cells, and this module owns all
+//! of it:
 //!
-//! * **Directory sweep and trusted-prefix journal load** (`Grid::open`).
+//! * **Directory sweep, the journal-shape check and the trusted-prefix
+//!   journal load** (`Grid::open`). Each driver renders one meta line of
+//!   what fixes its results; a fresh journal opens with it, and a
+//!   journal that opens with any other intact line belongs to another
+//!   run and is refused ([`OpenError::ForeignJournal`]).
 //! * **The pooled cell loop** (`Grid::run`): [`parallel_map`] — with
 //!   one worker, the plain serial loop on the calling thread — skipping
 //!   journaled cells, [`OrderedJournalWriter`] slots, the one
-//!   `--halt-after` rule, and the [`Supervisor`] with the retry policy
-//!   the driver picks.
+//!   `--halt-after` rule, and the [`Supervisor`], which retries I/O
+//!   failures only.
 //! * **The epoch loop** (`Attempt::run_epochs`): id-bound per-cell
 //!   checkpoints and the watchdogs, in the order DESIGN.md §5e fixes.
 //!
-//! A driver hands the runner its cells, a run closure and a line codec;
-//! it never touches sweeps, salvage, writer slots or checkpoint removal.
+//! A driver hands the runner its meta line, its cells, a run closure and
+//! a line codec; it never touches sweeps, salvage, writer slots or
+//! checkpoint removal.
 
 use crate::checkpoint::{
     read_cell_checkpoint, write_cell_checkpoint, CheckpointRead, ResumableRun,
 };
 use crate::cio::{with_retries, CampaignIo, RealIo, StorageEvents, StorageSummary};
-use crate::journal::OrderedJournalWriter;
+use crate::journal::{unseal_line, OrderedJournalWriter};
 use crate::outcome::CellError;
 use crate::parallel::parallel_map;
-use crate::supervisor::{Retry, Supervisor};
+use crate::supervisor::Supervisor;
 use crate::system::System;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -37,9 +43,44 @@ use twice_memctrl::resilience::ControllerError;
 /// a corrupt tail is preserved for forensics instead of silently lost.
 pub const JOURNAL_CORRUPT_FILE: &str = "journal.corrupt";
 
+/// Why `Grid::open` refused to start a run.
+#[derive(Debug)]
+pub enum OpenError {
+    /// Unrecoverable setup I/O: the directory cannot be created, or the
+    /// journal exists but cannot be read at all.
+    Io(io::Error),
+    /// The journal at this path opens with an intact line that is not
+    /// this run's meta line: it records another run (other seed, scale
+    /// or defense, or a journal whose meta line the disk refused), and
+    /// adopting its cells would mix two runs' results.
+    ForeignJournal(PathBuf),
+}
+
+impl fmt::Display for OpenError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpenError::Io(e) => write!(f, "{e}"),
+            OpenError::ForeignJournal(path) => write!(
+                f,
+                "journal {} belongs to a different campaign (seed/defense/scale mismatch); \
+                 use a fresh --journal or matching flags",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for OpenError {}
+
+impl From<io::Error> for OpenError {
+    fn from(e: io::Error) -> OpenError {
+        OpenError::Io(e)
+    }
+}
+
 /// The supervision knobs every grid driver shares, filled from the CLI
 /// flags once. The driver configs embed one and deref to it, so
-/// `cc.jobs`, `fc.jobs` and `rc.jobs` are the same field.
+/// `cc.jobs` and `rc.jobs` are the same field.
 #[derive(Debug, Clone)]
 pub struct Supervision {
     /// Campaign directory for the journal and epoch checkpoints; `None`
@@ -53,10 +94,11 @@ pub struct Supervision {
     pub resume: bool,
     /// Worker threads; `1` runs every cell on the calling thread.
     pub jobs: usize,
-    /// Attempts per failing cell before quarantine (1 = no retry). Each
-    /// journal append and checkpoint write also retries in place, up to
-    /// `retries` times but never more than 3: an operation that fails
-    /// that often is better handled by failing the attempt.
+    /// Attempts per I/O-failing cell before quarantine (1 = no retry);
+    /// no other failure is retried. Each journal append and checkpoint
+    /// write also retries in place, up to `retries` times but never more
+    /// than 3: an operation that fails that often is better handled by
+    /// failing the attempt.
     pub retries: u32,
     /// Linear backoff between attempts, in milliseconds.
     pub backoff_ms: u64,
@@ -74,8 +116,8 @@ pub struct Supervision {
 }
 
 impl Default for Supervision {
-    /// In memory, one worker, real I/O, up to 3 attempts per cell, no
-    /// budgets, no halt.
+    /// In memory, one worker, real I/O, up to 3 attempts per I/O-failing
+    /// cell, no budgets, no halt.
     fn default() -> Supervision {
         Supervision {
             dir: None,
@@ -262,14 +304,24 @@ pub(crate) struct Grid<'s> {
 }
 
 impl<'s> Grid<'s> {
-    /// Creates and sweeps the campaign directory, then loads the trusted
-    /// prefix of its journal `file`: the complete lines from the start
-    /// that `decode` accepts (blank lines pass). An in-memory run (no
-    /// directory) loads nothing.
+    /// Opens the campaign directory: checks that its journal `file`
+    /// belongs to this run, sweeps the directory, and loads the trusted
+    /// prefix of the journal. An in-memory run (no directory) loads
+    /// nothing.
     ///
-    /// The first line that is torn, not UTF-8 or rejected ends the
-    /// prefix: the suffix from there moves to [`JOURNAL_CORRUPT_FILE`]
-    /// and the journal is truncated, so crash damage and bit-rot heal to
+    /// `meta` is the driver's sealed meta line, rendered from everything
+    /// that fixes its results. A journal whose first line is `meta` is
+    /// this run's; one that opens with any other intact (CRC-sealed)
+    /// line is refused before anything in the directory is touched. A
+    /// fresh or fully salvaged journal gets `meta` appended; if the disk
+    /// refuses it, the failure is counted on the ledger and the run goes
+    /// on, and any later run refuses that journal.
+    ///
+    /// After the meta line, the trusted prefix is the complete lines
+    /// that `decode` accepts (blank lines pass). The first line that is
+    /// torn, not UTF-8 or rejected — a damaged meta line included — ends
+    /// it: the suffix from there moves to [`JOURNAL_CORRUPT_FILE`] and
+    /// the journal is truncated, so crash damage and bit-rot heal to
     /// recomputation, never to trusting a damaged outcome. Both salvage
     /// writes are best-effort: a failed truncation just means the next
     /// load salvages again. Drivers key what they decode by cell, never
@@ -277,13 +329,14 @@ impl<'s> Grid<'s> {
     ///
     /// # Errors
     ///
-    /// Only unrecoverable setup I/O: the directory cannot be created, or
-    /// the journal exists but cannot be read at all.
+    /// [`OpenError::ForeignJournal`] for another run's journal, or
+    /// [`OpenError::Io`] for unrecoverable setup I/O.
     pub(crate) fn open<L>(
         sup: &'s Supervision,
         file: &str,
+        meta: &str,
         mut decode: impl FnMut(&str) -> Option<L>,
-    ) -> io::Result<(Grid<'s>, Vec<L>)> {
+    ) -> Result<(Grid<'s>, Vec<L>), OpenError> {
         let grid = Grid {
             sup,
             journal: sup.dir.as_ref().map(|d| d.join(file)),
@@ -296,12 +349,12 @@ impl<'s> Grid<'s> {
             return Ok((grid, lines));
         };
         sup.io.create_dir_all(dir)?;
-        grid.sweep(dir);
         let bytes = match sup.io.read(path) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((grid, lines)),
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
         };
+        let mut meta_seen = false;
         let mut good_end = 0usize;
         for chunk in bytes.split_inclusive(|&b| b == b'\n') {
             let Some(text) = chunk
@@ -311,13 +364,22 @@ impl<'s> Grid<'s> {
                 break;
             };
             if !text.trim().is_empty() {
-                let Some(line) = decode(text) else {
+                if meta_seen {
+                    let Some(line) = decode(text) else {
+                        break;
+                    };
+                    lines.push(line);
+                } else if text == meta {
+                    meta_seen = true;
+                } else if unseal_line(text).is_some() {
+                    return Err(OpenError::ForeignJournal(path.clone()));
+                } else {
                     break;
-                };
-                lines.push(line);
+                }
             }
             good_end += chunk.len();
         }
+        grid.sweep(dir);
         if good_end < bytes.len() {
             let suffix = &bytes[good_end..];
             let dropped = suffix
@@ -331,6 +393,9 @@ impl<'s> Grid<'s> {
             let _ = sup.retry_io(|| sup.io.write_atomically(path, &bytes[..good_end]));
             StorageEvents::bump(&grid.events.journal_salvages);
             StorageEvents::add(&grid.events.salvaged_lines_dropped, dropped);
+        }
+        if !meta_seen {
+            let _ = grid.append(meta);
         }
         Ok((grid, lines))
     }
@@ -355,7 +420,7 @@ impl<'s> Grid<'s> {
     }
 
     /// Appends one line straight to the journal, outside any cell's
-    /// slot (a meta line before the cells, a summary line after them).
+    /// slot (the meta line before the cells, a summary line after them).
     /// A no-op in memory.
     ///
     /// # Errors
@@ -379,12 +444,11 @@ impl<'s> Grid<'s> {
     /// cells in grid order (all of them unless halted).
     ///
     /// A cell `journaled` returns a value for is salvaged, not rerun.
-    /// Every other cell is `run` under the [`Supervisor`] with the `retry`
-    /// policy, then its epoch checkpoint is removed whatever the outcome
-    /// (the id binding is the backstop for kills), and a completed cell's
-    /// `line` goes to the journal. Every cell takes its writer slot
-    /// exactly once, so the journal bytes are the same for any worker
-    /// count. `on_done` sees each accounted cell's outcome as it lands.
+    /// Every other cell is `run` under the [`Supervisor`], then its epoch
+    /// checkpoint is removed whatever the outcome (the id binding is the
+    /// backstop for kills), and a completed cell's `line` goes to the
+    /// journal. Every cell takes its writer slot exactly once, so the
+    /// journal bytes are the same for any worker count.
     ///
     /// `--halt-after N`: once N fresh cells have completed (over the
     /// grid's lifetime, not this call), unclaimed cells are skipped,
@@ -394,11 +458,9 @@ impl<'s> Grid<'s> {
     pub(crate) fn run<C: Sync, T: Send>(
         &self,
         cells: &[C],
-        retry: Retry,
         journaled: impl Fn(&C) -> Option<T> + Sync,
         run: impl Fn(&Attempt<'_>, &C) -> Result<T, CellError> + Sync,
         line: impl Fn(&C, &T) -> String + Sync,
-        on_done: impl Fn(usize, Result<&T, &CellError>) + Sync,
     ) -> Vec<Done<T>> {
         let sup = self.sup;
         let writer = self.journal.as_ref().map(|p| {
@@ -416,9 +478,8 @@ impl<'s> Grid<'s> {
                         ckpt: sup.dir.as_ref().map(|d| checkpoint_path(d, index)),
                     };
                     let result = supervisor.supervise(
-                        retry,
                         |_| run(&attempt, cell),
-                        |n, _| {
+                        |n| {
                             if n == 1 {
                                 StorageEvents::bump(&self.events.retried_cells);
                             }
@@ -437,7 +498,6 @@ impl<'s> Grid<'s> {
                 let fresh = result.as_ref().ok().filter(|_| !salvaged);
                 w.submit(index, fresh.map(|v| line(cell, v)));
             }
-            on_done(index, result.as_ref());
             if !salvaged && result.is_ok() {
                 let n = self.fresh.fetch_add(1, Ordering::SeqCst) + 1;
                 if sup.halt_after.is_some_and(|h| n >= h) {

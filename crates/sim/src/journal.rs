@@ -3,8 +3,9 @@
 //! One line per *completed* grid cell, appended and flushed as soon as
 //! the cell finishes, so a crash loses at most the in-flight cells (whose
 //! partial state lives in their epoch checkpoints instead). The chaos
-//! campaign, the fleet and the red-team search each bring their own
-//! line codec; writing, ordering and loading are shared. The format is a
+//! campaign and the red-team search each bring their own line codec and
+//! their own meta line, which opens the journal and names the run it
+//! records; writing, ordering, loading and the meta check are shared. The format is a
 //! flat JSON object of strings, unsigned integers, and booleans —
 //! written and parsed by the tiny codec below, because the workspace
 //! deliberately has no serde dependency.
@@ -15,7 +16,9 @@
 //! parse; a bit-rotted line that still *looks* like JSON fails its CRC.
 //! Either way the one loader, `Grid::open` in [`crate::grid`], ends the
 //! trusted prefix there and truncates the journal to its last good
-//! line, so corrupted outcomes are recomputed rather than trusted.
+//! line, so corrupted outcomes are recomputed rather than trusted. An
+//! intact first line that is not the run's meta line is not damage but
+//! another run's journal, and the loader refuses it.
 
 use crate::cio::{with_retries, CampaignIo};
 use std::collections::BTreeMap;

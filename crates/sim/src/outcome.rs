@@ -40,9 +40,10 @@ pub enum CellError {
     },
     /// Journal or checkpoint I/O failed.
     Io(String),
-    /// The cell kept failing and was quarantined after exhausting its
-    /// retry budget (see [`crate::supervisor::Retry`] for which failures
-    /// are retried); the run completed in degraded mode without it.
+    /// The cell's I/O kept failing and it was quarantined after
+    /// exhausting its retry budget (only I/O failures are retried, see
+    /// [`crate::supervisor`]); the run completed in degraded mode
+    /// without it.
     Quarantined {
         /// How many whole-cell attempts were made before giving up.
         attempts: u32,

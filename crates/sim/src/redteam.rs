@@ -19,8 +19,8 @@
 //! search resumes mid-generation, re-runs only the missing slots, and —
 //! enforced, not hoped — reproduces the uninterrupted run's per-
 //! generation digests, whatever `--jobs` is. What is the red team's own:
-//! genomes, breeding, the meta line that must match on resume, and the
-//! corpus.
+//! genomes, breeding, its meta line (which the grid runner checks on
+//! resume) and the corpus.
 //!
 //! The best genomes are distilled into fixed v2 traces (a `corpus/`
 //! directory plus a sealed `MANIFEST.jsonl`) and [`verify_corpus`]
@@ -33,7 +33,7 @@ use crate::config::SimConfig;
 use crate::grid::{deref_to_supervision, sim_watchdog, wall_watchdog, Grid, Supervision};
 use crate::journal::{emit_line, parse_line, seal_line, unseal_line, JsonValue};
 use crate::outcome::CellError;
-use crate::supervisor::{Retry, Supervisor};
+use crate::supervisor::Supervisor;
 use crate::system::System;
 use crate::tracecli::replay_trace;
 use std::collections::BTreeMap;
@@ -140,7 +140,8 @@ pub fn fitness_of(bit_flips: u64, stealth_peak: u64, near_miss_permille: u32) ->
         .saturating_add(u64::from(near_miss_permille))
 }
 
-/// Deterministic sabotage modes (see [`RedteamConfig::sabotage`]).
+/// Deterministic sabotage modes (see [`RedteamConfig::sabotage`] and
+/// [`CampaignConfig::sabotage`](crate::campaign::CampaignConfig::sabotage)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poison {
     /// The evaluation body panics after system construction.
@@ -215,7 +216,7 @@ pub fn eval_genome(
     // failure re-fails; the ladder's value here is catch → quarantine.
     twice_obs::bump(twice_obs::Ctr::SimRedteamEvals);
     Supervisor::new(1, 0)
-        .supervise(Retry::IoOnly, body, |_, _| {})
+        .supervise(body, |_| {})
         .unwrap_or_else(|err| {
             twice_obs::bump(twice_obs::Ctr::SimRedteamQuarantined);
             EvalOutcome::quarantined(err.to_string())
@@ -359,10 +360,8 @@ pub enum RedteamOutcome {
     },
 }
 
-/// One trusted journal line.
+/// One trusted journal line after the meta line.
 enum JournalLine {
-    /// The campaign's meta line, and whether it matches this search.
-    Meta { same: bool },
     /// One evaluation, keyed `(generation, slot)`.
     Eval(u32, usize, EvalOutcome),
     /// A completed generation: its digest and the bred next population.
@@ -422,19 +421,10 @@ fn gen_line(gen: u32, digest: u64, next: &[PatternGenome]) -> String {
 }
 
 /// Decodes one sealed journal line; `None` ends the trusted prefix.
-fn parse_journal_line(rc: &RedteamConfig, line: &str) -> Option<JournalLine> {
+fn parse_journal_line(line: &str) -> Option<JournalLine> {
     let fields = parse_line(&unseal_line(line)?).ok()?;
     let u64_of = |key: &str| get_u64(&fields, key);
     match get_str(&fields, "kind")? {
-        "meta" => Some(JournalLine::Meta {
-            same: u64_of("version") == Some(REDTEAM_VERSION)
-                && u64_of("seed") == Some(rc.cfg.seed)
-                && get_str(&fields, "defense") == Some(rc.defense.to_string().as_str())
-                && u64_of("population") == Some(rc.population as u64)
-                && u64_of("generations") == Some(u64::from(rc.generations))
-                && u64_of("requests") == Some(rc.requests)
-                && u64_of("epoch") == Some(rc.epoch),
-        }),
         "eval" => {
             let quarantined = fields.get("q")?.as_bool()?.then(|| {
                 get_str(&fields, "cause")
@@ -486,10 +476,9 @@ fn poison(rc: &RedteamConfig, gen: u32, slot: usize) -> Option<Poison> {
 /// Runs (or resumes) the evolutionary search.
 ///
 /// The journal is loaded up to its trusted prefix (a corrupt tail moves
-/// to `journal.corrupt` and its slots re-run). A meta line from a
-/// *different* campaign is a hard error — resuming someone else's
-/// search would silently corrupt both — and a journal without one gets
-/// a fresh meta line before any evaluation is appended.
+/// to `journal.corrupt` and its slots re-run). A journal that does not
+/// open with this search's meta line is a hard error — resuming someone
+/// else's search would silently corrupt both.
 ///
 /// # Errors
 ///
@@ -500,23 +489,12 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
     assert!(rc.population >= 2, "population must be at least 2");
     assert!(rc.generations >= 1, "need at least one generation");
     let dir = rc.dir.as_deref().unwrap_or(Path::new("."));
-    let (grid, lines) = Grid::open(&rc.sup, REDTEAM_JOURNAL, |line| {
-        parse_journal_line(rc, line)
-    })
-    .map_err(|e| format!("cannot open campaign {}: {e}", dir.display()))?;
-    let mut meta_seen = false;
+    let (grid, lines) = Grid::open(&rc.sup, REDTEAM_JOURNAL, &meta_line(rc), parse_journal_line)
+        .map_err(|e| format!("cannot open campaign {}: {e}", dir.display()))?;
     let mut evals = BTreeMap::new();
     let mut gens = BTreeMap::new();
     for line in lines {
         match line {
-            JournalLine::Meta { same: false } => {
-                return Err(format!(
-                    "journal {} belongs to a different campaign (seed/defense/scale mismatch); \
-                     use a fresh --dir or matching flags",
-                    dir.join(REDTEAM_JOURNAL).display()
-                ));
-            }
-            JournalLine::Meta { same: true } => meta_seen = true,
             JournalLine::Eval(gen, slot, outcome) => {
                 evals.insert((gen, slot), outcome);
             }
@@ -524,10 +502,6 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
                 gens.insert(gen, (digest, next));
             }
         }
-    }
-    if !meta_seen {
-        grid.append(&meta_line(rc))
-            .map_err(|e| format!("cannot write journal meta: {e}"))?;
     }
     let space = GenomeSpace::for_topology(&rc.cfg.topology);
     let slots: Vec<usize> = (0..rc.population).collect();
@@ -543,7 +517,6 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
     for gen in 0..rc.generations {
         let done = grid.run(
             &slots,
-            Retry::IoOnly,
             |slot| evals.get(&(gen, *slot)).cloned(),
             |_, &slot| {
                 Ok(eval_genome(
@@ -558,7 +531,6 @@ pub fn redteam_search(rc: &RedteamConfig) -> Result<RedteamOutcome, String> {
                 ))
             },
             |&slot, o| eval_line(gen, slot, &population[slot], o),
-            |_, _| {},
         );
         cached += done.iter().filter(|d| d.salvaged).count() as u64;
         live += done.iter().filter(|d| !d.salvaged).count() as u64;

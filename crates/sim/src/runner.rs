@@ -42,15 +42,12 @@ pub enum WorkloadKind {
     S3,
     /// A configurable hammer attack on bank 0.
     Attack(HammerShape),
-    /// A 16-tenant fleet blend: `attackers` hammer sources (shapes
-    /// rotating over single-, double-, many-sided, and decoy) mixed
-    /// with MAPKI-weighted SPEC tenants; `salt` decorrelates shards
-    /// sharing one base seed.
-    FleetMix {
+    /// A 16-tenant blend: `attackers` hammer sources (shapes rotating
+    /// over single-, double-, many-sided, and decoy) mixed with
+    /// MAPKI-weighted SPEC tenants — the chaos grid's device-fault row.
+    TenantBlend {
         /// How many of the 16 tenants are attackers (capped at 8).
         attackers: u16,
-        /// Per-shard seed salt, folded into `cfg.seed`.
-        salt: u64,
     },
 }
 
@@ -68,9 +65,7 @@ impl fmt::Display for WorkloadKind {
             WorkloadKind::S2 => write!(f, "S2"),
             WorkloadKind::S3 => write!(f, "S3"),
             WorkloadKind::Attack(shape) => write!(f, "attack({shape:?})"),
-            WorkloadKind::FleetMix { attackers, salt } => {
-                write!(f, "fleet-mix(a{attackers},s{salt:x})")
-            }
+            WorkloadKind::TenantBlend { attackers } => write!(f, "tenant-blend(a{attackers})"),
         }
     }
 }
@@ -143,9 +138,7 @@ pub fn try_build_source(
         WorkloadKind::S2 => Box::new(S2CbtAdversarial::standard(topo, seed)),
         WorkloadKind::S3 => Box::new(S3SingleRowHammer::new(topo, seed)),
         WorkloadKind::Attack(shape) => Box::new(HammerAttack::new(topo, 0, shape.clone())),
-        WorkloadKind::FleetMix { attackers, salt } => {
-            Box::new(tenant_blend(topo, seed ^ salt, *attackers))
-        }
+        WorkloadKind::TenantBlend { attackers } => Box::new(tenant_blend(topo, seed, *attackers)),
     })
 }
 
@@ -250,10 +243,7 @@ mod tests {
             WorkloadKind::S2,
             WorkloadKind::S3,
             double_sided(100),
-            WorkloadKind::FleetMix {
-                attackers: 4,
-                salt: 0x42,
-            },
+            WorkloadKind::TenantBlend { attackers: 4 },
         ];
         for w in workloads {
             let label = w.to_string();

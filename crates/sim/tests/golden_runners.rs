@@ -1,5 +1,5 @@
-//! Golden outputs of the three supervised grid drivers — the chaos
-//! campaign, the fleet and the red-team search — at small fixed sizes.
+//! Golden outputs of the two supervised grid drivers — the chaos
+//! campaign and the red-team search — at small fixed sizes.
 //!
 //! The `--jobs` suites compare a serial run with a pooled one inside one
 //! binary, so they cannot see a change that moves both sides at once.
@@ -10,17 +10,12 @@
 //! On a mismatch the actual output is written under
 //! `CARGO_TARGET_TMPDIR` and the changed rows are printed. Re-baselining
 //! is copying that file over the golden one.
-//!
-//! Nothing here reads the fleet's heartbeat counters: they are obs
-//! probes, zero under the `obs-off` feature, and the file must hold in
-//! every build.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use twice_mitigations::DefenseKind;
 use twice_sim::campaign::{chaos_campaign, CampaignConfig, JOURNAL_FILE};
 use twice_sim::config::SimConfig;
-use twice_sim::fleet::{run_fleet, FleetConfig};
 use twice_sim::redteam::{redteam_search, RedteamConfig, RedteamOutcome};
 
 const GOLDEN: &str = include_str!("golden_runners.txt");
@@ -31,11 +26,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The chaos grid: report table, per-cell digests, clean journal bytes.
+/// The chaos grid with two sabotaged cells: report table, per-cell
+/// digests or errors, clean journal bytes.
 fn chaos(jobs: usize, out: &mut String) {
     let dir = temp_dir(&format!("chaos-{jobs}"));
     let mut cc = CampaignConfig::new(12_000);
     cc.epoch = 1_024;
+    cc.sabotage = 2;
     cc.jobs = jobs;
     cc.dir = Some(dir.clone());
     let report = chaos_campaign(&SimConfig::fast_test(), &cc).expect("chaos campaign");
@@ -64,31 +61,6 @@ fn chaos(jobs: usize, out: &mut String) {
         writeln!(out, "chaos journal {line}").unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The fleet with dead shards and armed device faults: per-shard
-/// digests, the quarantine set, and the summary minus the
-/// timing-dependent coalesced-row counter.
-fn fleet(jobs: usize, out: &mut String) {
-    let mut fc = FleetConfig::new(16);
-    fc.requests = 500;
-    fc.epoch = 128;
-    fc.device_faults = Some(0xD5);
-    fc.dead_shards = 2;
-    fc.retries = 2;
-    fc.telemetry_every = 4;
-    fc.jobs = jobs;
-    let report = run_fleet(&fc).expect("fleet");
-    for s in &report.shards {
-        match &s.result {
-            Ok(stats) => writeln!(out, "fleet shard {} digest {:#018x}", s.index, stats.digest),
-            Err(_) => writeln!(out, "fleet shard {} quarantined", s.index),
-        }
-        .unwrap();
-    }
-    let mut summary = report.summary.clone();
-    summary.telemetry_coalesced = 0;
-    writeln!(out, "fleet summary {summary}").unwrap();
 }
 
 /// The red-team search with two sabotaged genomes: per-generation
@@ -133,7 +105,6 @@ fn redteam(jobs: usize, out: &mut String) {
 fn actual(jobs: usize) -> String {
     let mut out = String::new();
     chaos(jobs, &mut out);
-    fleet(jobs, &mut out);
     redteam(jobs, &mut out);
     out
 }

@@ -116,8 +116,9 @@ fn a_bit_rotted_journal_is_salvaged_and_the_report_still_matches() {
     let cc = base_config(&dir);
     let pristine = chaos_campaign(&cfg, &cc).expect("pristine campaign");
 
-    // Rot one bit in the middle of the 5th journal line: that line and
-    // everything after it become untrusted.
+    // Rot one bit in the middle of the 5th cell line (the journal's 6th,
+    // after the meta line): that line and everything after it become
+    // untrusted.
     let journal = dir.join(JOURNAL_FILE);
     let mut bytes = std::fs::read(&journal).expect("journal readable");
     let line_starts: Vec<usize> = std::iter::once(0)
@@ -131,7 +132,7 @@ fn a_bit_rotted_journal_is_salvaged_and_the_report_still_matches() {
         .collect();
     let total_lines = line_starts.len() - 1;
     assert!(total_lines >= 6, "grid must journal at least 6 cells");
-    let at = line_starts[4] + 10;
+    let at = line_starts[5] + 10;
     bytes[at] ^= 0x01;
     std::fs::write(&journal, &bytes).expect("plant the rot");
 
@@ -199,15 +200,15 @@ fn an_enospc_burst_fails_one_attempt_and_the_retry_completes_the_cell() {
     let ref_dir = temp_dir("burst-ref");
     let pristine = chaos_campaign(&cfg, &base_config(&ref_dir)).expect("pristine campaign");
 
-    // The first three ENOSPC opportunities fire: the first checkpoint
-    // write of the first cell fails all of its per-operation retries,
-    // failing the whole attempt. The cell-level retry then sails
-    // through a recovered disk.
+    // The three ENOSPC opportunities after the meta line's append fire:
+    // the first checkpoint write of the first cell fails all of its
+    // per-operation retries, failing the whole attempt. The cell-level
+    // retry then sails through a recovered disk.
     let dir = temp_dir("burst");
     let plan = FaultPlan::with_seed(11)
-        .at_event(FaultKind::StorageEnospc, 0)
         .at_event(FaultKind::StorageEnospc, 1)
-        .at_event(FaultKind::StorageEnospc, 2);
+        .at_event(FaultKind::StorageEnospc, 2)
+        .at_event(FaultKind::StorageEnospc, 3);
     let mut cc = base_config(&dir);
     cc.io = Arc::new(FaultyIo::new(plan));
     let report = chaos_campaign(&cfg, &cc).expect("bursted campaign");

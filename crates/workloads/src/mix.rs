@@ -6,6 +6,9 @@
 //! * **mix-high** — 16 applications drawn from the nine `spec-high`
 //!   (memory-intensive) models.
 //! * **mix-blend** — 16 applications drawn uniformly from all 29.
+//! * **tenant blend** (an extension) — 16 tenants, up to 8 of them
+//!   hammer attackers: the traffic of the chaos campaign's device-fault
+//!   row.
 //!
 //! Copies are interleaved with weights proportional to MAPKI, modeling
 //! each core's memory intensity.
@@ -56,13 +59,13 @@ pub fn mix_blend(topo: &Topology, seed: u64) -> WeightedInterleave {
     mix_of(topo, &spec_cpu2006(), seed)
 }
 
-/// A 16-tenant fleet blend: `attackers` of the tenants (capped at 8 so
-/// the blend keeps benign traffic) are hammer sources with seeded
-/// shapes — single-, double-, many-sided, and decoy patterns rotate
-/// per attacker — and the rest are MAPKI-weighted SPEC applications.
+/// A 16-tenant blend: `attackers` of the tenants (capped at 8 so the
+/// blend keeps benign traffic) are hammer sources with seeded shapes —
+/// single-, double-, many-sided, and decoy patterns rotate per attacker
+/// — and the rest are MAPKI-weighted SPEC applications.
 ///
 /// Attackers get weight 10: hammering only pays at high activation
-/// rates, so a fleet shard under attack sees a realistic skew without
+/// rates, so a system under attack sees a realistic skew without
 /// starving its benign tenants.
 pub fn tenant_blend(topo: &Topology, seed: u64, attackers: u16) -> WeightedInterleave {
     let n_attack = attackers.min(8);
