@@ -225,12 +225,6 @@ impl crate::snapshot::Snapshot for DefenseStats {
         self.detections = r.take_u64()?;
         Ok(())
     }
-
-    fn digest_state(&self, d: &mut crate::snapshot::StateDigest) {
-        for v in self.fields() {
-            d.write_u64(v);
-        }
-    }
 }
 
 /// A row-hammer protection scheme observing the activation stream.
@@ -351,10 +345,14 @@ pub trait RowHammerDefense {
         Ok(())
     }
 
-    /// Folds the defense's mutable state into a run digest. Stateless
-    /// defenses contribute nothing.
+    /// Folds the defense's mutable state into a run digest: the bytes
+    /// [`RowHammerDefense::save_state`] writes, framed as a blob of their
+    /// own, so from a fresh accumulator this is the checksum that blob
+    /// ends with. Derived from `save_state`, so not for overriding.
     fn digest_state(&self, d: &mut crate::snapshot::StateDigest) {
-        let _ = d;
+        let mut w = crate::snapshot::SnapshotWriter::folding(*d);
+        self.save_state(&mut w);
+        *d = w.into_digest();
     }
 }
 

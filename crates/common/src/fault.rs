@@ -380,14 +380,6 @@ impl crate::snapshot::Snapshot for FaultInjector {
         }
         Ok(())
     }
-
-    fn digest_state(&self, d: &mut crate::snapshot::StateDigest) {
-        d.write_u64(self.rng.state());
-        for i in 0..KINDS {
-            d.write_u64(self.opportunities[i]);
-            d.write_u64(self.injected[i]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +401,7 @@ mod tests {
     fn unarmed_fast_path_leaves_the_armed_path_state() {
         // A one-shot for a kind never fired here arms the plan, so its
         // zero-rate kinds take the armed path.
-        use crate::snapshot::{Snapshot, StateDigest};
+        use crate::snapshot::digest_of;
         let mut armed = FaultPlan::with_seed(5)
             .at_event(FaultKind::BankStuck, 0)
             .injector(3);
@@ -421,12 +413,7 @@ mod tests {
             assert!(!armed.fire(kind));
             assert!(!unarmed.fire(kind));
         }
-        let digest = |inj: &FaultInjector| {
-            let mut d = StateDigest::new();
-            inj.digest_state(&mut d);
-            d.finish()
-        };
-        assert_eq!(digest(&armed), digest(&unarmed));
+        assert_eq!(digest_of(&armed), digest_of(&unarmed));
         assert!(unarmed.opportunities(FaultKind::TimingJitter) > 0);
     }
 

@@ -99,10 +99,6 @@ impl crate::snapshot::Snapshot for SplitMix64 {
         self.state = r.take_u64()?;
         Ok(())
     }
-
-    fn digest_state(&self, d: &mut crate::snapshot::StateDigest) {
-        d.write_u64(self.state);
-    }
 }
 
 #[cfg(test)]

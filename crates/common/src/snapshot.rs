@@ -5,25 +5,32 @@
 //! re-established *exactly*. This module supplies the two primitives the
 //! rest of the workspace builds on:
 //!
-//! * [`StateDigest`] — a 64-bit FNV-1a accumulator. Every stateful
-//!   component folds its mutable state into one of these; two runs that
-//!   agree on the digest agree on every byte of simulation state that
-//!   matters. Digest mismatches turn *hidden* nondeterminism into a hard,
-//!   immediate test failure instead of a subtly wrong table.
 //! * [`SnapshotWriter`] / [`SnapshotReader`] — a tiny self-contained
 //!   binary codec (no external dependencies): a 4-byte magic, a `u16`
 //!   format version, tagged length-prefixed fields, and a trailing FNV
 //!   checksum that is verified before a single field is decoded. A
 //!   checkpoint with even one flipped bit is rejected, never silently
 //!   loaded.
+//! * [`digest_of`] — a component's 64-bit state digest, which *is* the
+//!   checksum its sealed blob ends with. A [folding](SnapshotWriter::folding)
+//!   writer computes it by hashing the blob in bounded chunks instead of
+//!   keeping it. Two runs that agree on the digest agree on every byte
+//!   of simulation state that matters, so digest mismatches turn
+//!   *hidden* nondeterminism into a hard, immediate test failure instead
+//!   of a subtly wrong table.
 //!
 //! Components implement [`Snapshot`]: `save_state` serializes the
 //! *mutable* state only (configuration is re-established by the caller,
 //! which rebuilds the component from its config before calling
-//! `load_state`), and `digest_state` folds the same state into a
-//! [`StateDigest`]. Keeping configuration out of the payload keeps the
-//! codec free of trait objects and makes version skew a config-fingerprint
-//! problem rather than a deserialization problem.
+//! `load_state`). There is one encoding: the digest is derived from
+//! `save_state`, never written by hand beside it. Keeping configuration
+//! out of the payload keeps the codec free of trait objects and makes
+//! version skew a config-fingerprint problem rather than a
+//! deserialization problem.
+//!
+//! [`StateDigest`] is the FNV-1a accumulator underneath. Its typed
+//! `write_*` methods also fingerprint things that are not snapshots (a
+//! trace header's topology), so their bytes are fixed too.
 //!
 //! # Examples
 //!
@@ -54,11 +61,12 @@ pub const SNAPSHOT_VERSION: u16 = 1;
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// A 64-bit FNV-1a accumulator over simulation state.
+/// A 64-bit FNV-1a accumulator.
 ///
-/// The write order is part of the contract: components must fold their
-/// fields in a fixed order so that equal state always yields an equal
-/// digest. Each write is framed by its width, so adjacent fields cannot
+/// Snapshot blobs fold into it raw (see [`SnapshotWriter::folding`]).
+/// The typed `write_*` methods serve fingerprints built by hand, such as
+/// a trace header's topology: the write order is part of the contract,
+/// and each write is framed by its width, so adjacent fields cannot
 /// alias (`write_u32(1); write_u32(2)` differs from `write_u64` of the
 /// packed pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +90,13 @@ impl StateDigest {
     fn step(&mut self, byte: u8) {
         self.hash ^= u64::from(byte);
         self.hash = self.hash.wrapping_mul(FNV_PRIME);
+    }
+
+    /// Folds raw bytes, unframed: the checksum primitive.
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.step(b);
+        }
     }
 
     /// Folds one byte. Every write folds a width tag first, so adjacent
@@ -163,9 +178,7 @@ impl StateDigest {
 /// FNV-1a over a byte slice (the codec's checksum primitive).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut d = StateDigest::new();
-    for &b in bytes {
-        d.step(b);
-    }
+    d.fold(bytes);
     d.finish()
 }
 
@@ -245,13 +258,26 @@ const TAG_F64: u8 = 0x05;
 const TAG_BYTES: u8 = 0x06;
 const TAG_STR: u8 = 0x07;
 
+/// Bytes a [folding](SnapshotWriter::folding) writer buffers before it
+/// hashes and drops them, so a digest never holds a whole blob.
+const FOLD_CHUNK: usize = 4096;
+
 /// Serializer for the snapshot codec.
 ///
-/// Writes the versioned header on construction; [`SnapshotWriter::finish`]
-/// appends the trailing checksum and yields the blob.
+/// Writes the versioned header on construction. A writer from
+/// [`SnapshotWriter::new`] keeps the blob, and [`SnapshotWriter::finish`]
+/// appends the trailing checksum and yields it. A writer from
+/// [`SnapshotWriter::folding`] hashes the same bytes as they come and
+/// keeps none of them; [`SnapshotWriter::into_digest`] yields the
+/// checksum.
 #[derive(Debug, Clone)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
+    /// FNV-1a over the bytes already folded out of `buf`.
+    sum: StateDigest,
+    /// `buf` length at which its bytes are folded into `sum` and
+    /// dropped; `usize::MAX` when the writer keeps the blob.
+    fold_at: usize,
 }
 
 impl Default for SnapshotWriter {
@@ -263,70 +289,119 @@ impl Default for SnapshotWriter {
 impl SnapshotWriter {
     /// Opens a blob: magic + version.
     pub fn new() -> SnapshotWriter {
-        let mut buf = Vec::with_capacity(64);
+        SnapshotWriter::open(64, StateDigest::new(), usize::MAX)
+    }
+
+    /// Opens a blob that is hashed, not kept: header and fields fold
+    /// into `into`, a chunk at a time. From a fresh accumulator,
+    /// [`SnapshotWriter::into_digest`] then yields the checksum that
+    /// [`SnapshotWriter::finish`] would seal the same fields with.
+    pub fn folding(into: StateDigest) -> SnapshotWriter {
+        SnapshotWriter::open(FOLD_CHUNK + 64, into, FOLD_CHUNK)
+    }
+
+    fn open(capacity: usize, sum: StateDigest, fold_at: usize) -> SnapshotWriter {
+        let mut buf = Vec::with_capacity(capacity);
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
         buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        SnapshotWriter { buf }
+        SnapshotWriter { buf, sum, fold_at }
+    }
+
+    /// Folds the buffered bytes once a folding writer holds a chunk.
+    #[inline]
+    fn spill(&mut self) {
+        if self.buf.len() >= self.fold_at {
+            self.sum.fold(&self.buf);
+            self.buf.clear();
+        }
     }
 
     /// Appends a `u8` field.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(TAG_U8);
         self.buf.push(v);
+        self.spill();
     }
 
     /// Appends a `u32` field.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.push(TAG_U32);
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.spill();
     }
 
     /// Appends a `u64` field.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.push(TAG_U64);
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.spill();
     }
 
     /// Appends a `usize` field through `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Appends a boolean field.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(TAG_BOOL);
         self.buf.push(u8::from(v));
+        self.spill();
     }
 
     /// Appends an `f64` field by bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.push(TAG_F64);
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.spill();
     }
 
     /// Appends a length-prefixed byte-slice field (nested blobs ride here).
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.push(TAG_BYTES);
         self.buf
             .extend_from_slice(&u32::try_from(v.len()).expect("field < 4 GiB").to_le_bytes());
         self.buf.extend_from_slice(v);
+        self.spill();
     }
 
     /// Appends a length-prefixed string field.
+    #[inline]
     pub fn put_str(&mut self, v: &str) {
         self.buf.push(TAG_STR);
         self.buf
             .extend_from_slice(&u32::try_from(v.len()).expect("field < 4 GiB").to_le_bytes());
         self.buf.extend_from_slice(v.as_bytes());
+        self.spill();
     }
 
     /// Seals the blob: appends the FNV-1a checksum over everything written
     /// so far (header included) and returns the bytes.
+    ///
+    /// # Panics
+    ///
+    /// On a [folding](SnapshotWriter::folding) writer, which has no blob
+    /// left to seal.
     pub fn finish(self) -> Vec<u8> {
+        assert_eq!(self.fold_at, usize::MAX, "a folding writer keeps no blob");
+        let sum = fnv1a(&self.buf);
         let mut buf = self.buf;
-        let sum = fnv1a(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
+    }
+
+    /// The accumulator after every byte written so far (header included)
+    /// has been folded into it.
+    pub fn into_digest(mut self) -> StateDigest {
+        self.sum.fold(&self.buf);
+        self.sum
     }
 }
 
@@ -491,22 +566,20 @@ impl<'a> SnapshotReader<'a> {
 /// let mut fresh = /* rebuild from the same configuration */;
 /// restore_from(&mut fresh, &blob)?;
 /// assert_eq!(digest_of(&c), digest_of(&fresh));
+/// assert_eq!(digest_of(&c).to_le_bytes(), blob[blob.len() - 8..]);
 /// ```
 ///
 /// `load_state` is called on an instance already constructed from the same
 /// configuration as the saved one; only mutable run-time state travels in
 /// the blob. Implementations must read fields in exactly the order
-/// `save_state` wrote them.
+/// `save_state` wrote them, and write them canonically: the same state
+/// always produces the same bytes, because those bytes are the digest.
 pub trait Snapshot {
     /// Serializes the mutable state into `w`.
     fn save_state(&self, w: &mut SnapshotWriter);
 
     /// Re-establishes the mutable state from `r`.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
-
-    /// Folds the mutable state into `d` (same field order as
-    /// [`Snapshot::save_state`]).
-    fn digest_state(&self, d: &mut StateDigest);
 }
 
 /// One component's state as a sealed blob.
@@ -522,11 +595,12 @@ pub fn restore_from(c: &mut dyn Snapshot, bytes: &[u8]) -> Result<(), SnapshotEr
     c.load_state(&mut r)
 }
 
-/// One component's state digest.
+/// One component's state digest: the checksum its sealed blob ends
+/// with, computed without keeping the blob.
 pub fn digest_of(c: &dyn Snapshot) -> u64 {
-    let mut d = StateDigest::new();
-    c.digest_state(&mut d);
-    d.finish()
+    let mut w = SnapshotWriter::folding(StateDigest::new());
+    c.save_state(&mut w);
+    w.into_digest().finish()
 }
 
 #[cfg(test)]
@@ -644,9 +718,6 @@ mod tests {
             self.n = r.take_u64()?;
             Ok(())
         }
-        fn digest_state(&self, d: &mut StateDigest) {
-            d.write_u64(self.n);
-        }
     }
 
     #[test]
@@ -656,6 +727,40 @@ mod tests {
         let mut fresh = Counter { n: 0 };
         restore_from(&mut fresh, &blob).unwrap();
         assert_eq!(digest_of(&c), digest_of(&fresh));
+        assert_eq!(digest_of(&c).to_le_bytes(), blob[blob.len() - 8..]);
         assert_eq!(fresh.n, 99);
+    }
+
+    #[test]
+    fn folding_matches_the_sealed_checksum_in_bounded_memory() {
+        // Several chunks of small fields, then one field larger than a
+        // chunk, so every fold boundary is crossed.
+        let fill = |w: &mut SnapshotWriter| {
+            for i in 0..FOLD_CHUNK as u64 {
+                w.put_u64(i);
+                w.put_bool(i % 3 == 0);
+            }
+            w.put_bytes(&[7; 3 * FOLD_CHUNK]);
+            w.put_str("tail");
+        };
+        let mut kept = SnapshotWriter::new();
+        fill(&mut kept);
+        let blob = kept.finish();
+        let mut folded = SnapshotWriter::folding(StateDigest::new());
+        fill(&mut folded);
+        assert!(
+            folded.buf.len() < FOLD_CHUNK,
+            "a folding writer keeps a chunk at most"
+        );
+        assert_eq!(
+            folded.into_digest().finish().to_le_bytes(),
+            blob[blob.len() - 8..]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a folding writer keeps no blob")]
+    fn a_folding_writer_cannot_seal() {
+        SnapshotWriter::folding(StateDigest::new()).finish();
     }
 }

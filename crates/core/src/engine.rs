@@ -22,9 +22,7 @@ use crate::soa::{SoaFa, SoaPa, SoaSplit};
 use crate::table::{CounterTable, RecordOutcome};
 use std::fmt;
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan, FaultTargeting};
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
     BankId, DefensePressure, DefenseResponse, Detection, RowHammerDefense, RowId, Time,
 };
@@ -508,9 +506,9 @@ impl RowHammerDefense for TwiceEngine {
         // Layout version: bumped with the SoA arena rewrite. Blobs from
         // the pre-SoA layout open with a u64 stats field where this u32
         // sits, so the tagged codec rejects them with a typed
-        // `SnapshotError` before any state is touched. The *digest* is
-        // intentionally unversioned and placement-blind: it folds the
-        // sorted entries, not the slots they sit in.
+        // `SnapshotError` before any state is touched. The digest is
+        // this blob's checksum, so it is placement-blind (the entries
+        // go out sorted, not by slot) but moves when the version does.
         w.put_u32(ENGINE_LAYOUT_VERSION);
         w.put_u64(self.stats.acts);
         w.put_u64(self.stats.arrs);
@@ -609,34 +607,6 @@ impl RowHammerDefense for TwiceEngine {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.stats.acts);
-        d.write_u64(self.stats.arrs);
-        d.write_u64(self.stats.table_full_events);
-        d.write_u64(self.stats.prunes);
-        d.write_u64(self.stats.corruption_events);
-        d.write_u64(self.stats.seu_injected);
-        for &m in &self.max_occupancy {
-            d.write_usize(m);
-        }
-        self.injector.digest_state(d);
-        for t in &self.tables {
-            let mut entries = t.entries();
-            entries.sort_unstable_by_key(|e| e.row);
-            d.write_usize(entries.len());
-            for e in &entries {
-                d.write_u32(e.row.0);
-                d.write_u64(e.act_cnt);
-                d.write_u64(e.life);
-            }
-            let corrupted = t.corrupted_rows();
-            d.write_usize(corrupted.len());
-            for r in corrupted {
-                d.write_u32(r.0);
-            }
-        }
     }
 }
 
@@ -790,6 +760,7 @@ mod tests {
     #[test]
     fn snapshot_round_trip_restores_behavior_for_every_organization() {
         use twice_common::rng::SplitMix64;
+        use twice_common::snapshot::StateDigest;
         for org in ALL_ORGS {
             // Drive an engine into a non-trivial mid-run state, with some
             // injected corruption pending scrub.

@@ -7,9 +7,7 @@
 //! capacity bound is only sound if the ACT stream really respects `tRC`.
 
 use crate::error::{DramError, TimingKind, TimingViolation};
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{DdrTimings, RowId, Span, Time};
 
 /// The row-state of a bank.
@@ -345,31 +343,6 @@ impl Snapshot for Bank {
             }
         };
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        match self.state {
-            BankState::Precharged => {
-                d.write_bool(false);
-                d.write_u32(0);
-            }
-            BankState::Active { row } => {
-                d.write_bool(true);
-                d.write_u32(row.0);
-            }
-        }
-        d.write_bool(self.last_act.is_some());
-        d.write_u64(self.last_act.map_or(0, Time::as_ps));
-        d.write_u64(self.ready_at.as_ps());
-        d.write_u8(self.ready_kind.code());
-        d.write_u64(self.col_ready_at.as_ps());
-        let (tag, until) = match self.occupancy {
-            Occupancy::Free => (0u8, Time::ZERO),
-            Occupancy::Refreshing(t) => (1, t),
-            Occupancy::ArrInProgress(t) => (2, t),
-        };
-        d.write_u8(tag);
-        d.write_u64(until.as_ps());
     }
 }
 

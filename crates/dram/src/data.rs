@@ -14,9 +14,7 @@
 
 use std::collections::HashMap;
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::RowId;
 
 /// Bytes per storage granule (one cache line).
@@ -198,15 +196,10 @@ impl BankData {
     }
 }
 
-fn sorted_granules(map: &HashMap<GranuleKey, [u8; GRANULE_BYTES]>) -> Vec<(GranuleKey, &[u8])> {
+fn save_granules(w: &mut SnapshotWriter, map: &HashMap<GranuleKey, [u8; GRANULE_BYTES]>) {
     let mut entries: Vec<(GranuleKey, &[u8])> =
         map.iter().map(|(&k, v)| (k, v.as_slice())).collect();
     entries.sort_unstable_by_key(|&(k, _)| k);
-    entries
-}
-
-fn save_granules(w: &mut SnapshotWriter, map: &HashMap<GranuleKey, [u8; GRANULE_BYTES]>) {
-    let entries = sorted_granules(map);
     w.put_usize(entries.len());
     for ((row, granule), bytes) in entries {
         w.put_u32(row);
@@ -242,18 +235,6 @@ impl Snapshot for BankData {
         self.actual = load_granules(r)?;
         self.shadow = load_granules(r)?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for map in [&self.actual, &self.shadow] {
-            let entries = sorted_granules(map);
-            d.write_usize(entries.len());
-            for ((row, granule), bytes) in entries {
-                d.write_u32(row);
-                d.write_u32(granule);
-                d.write_bytes(bytes);
-            }
-        }
     }
 }
 

@@ -15,9 +15,7 @@ use crate::rank::RankActWindow;
 use crate::refresh::RefreshCursor;
 use crate::remap::{NeighborRows, RemapTable};
 use crate::stats::DramStats;
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{DdrTimings, RowId, Time};
 
 /// Construction parameters for a [`DramRank`].
@@ -676,26 +674,6 @@ impl Snapshot for DramRank {
             self.flips_seen[b] = self.hammer[b].flips().len();
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_usize(self.banks.len());
-        for bank in &self.banks {
-            bank.digest_state(d);
-        }
-        self.act_window.digest_state(d);
-        for h in &self.hammer {
-            h.digest_state(d);
-        }
-        for c in &self.refresh {
-            c.digest_state(d);
-        }
-        for data in &self.data {
-            data.digest_state(d);
-        }
-        self.stats.digest_state(d);
-        d.write_u64(self.flip_nonce);
-        d.write_usize(self.flips_applied);
     }
 }
 

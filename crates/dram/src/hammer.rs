@@ -35,9 +35,7 @@
 
 use crate::remap::RemapTable;
 use twice_common::rowmap::RowMap;
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{RowId, Time};
 
 /// A bank's disturbance moves from its map to a dense array once
@@ -439,25 +437,6 @@ impl Snapshot for HammerModel {
             });
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.act_counter);
-        d.write_u64(self.peak);
-        for (r, v) in self.disturbance.sorted() {
-            d.write_u32(r);
-            d.write_u64(v);
-        }
-        for (r, f) in sorted(&self.flipped) {
-            d.write_u32(r);
-            d.write_u32(f);
-        }
-        d.write_usize(self.flips.len());
-        for f in &self.flips {
-            d.write_u32(f.victim.0);
-            d.write_u64(f.at.as_ps());
-            d.write_u64(f.disturbance);
-        }
     }
 }
 

@@ -9,9 +9,7 @@
 //! aggressors finite.
 
 use crate::error::{TimingKind, TimingViolation};
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{DdrTimings, Time};
 
 /// Banks per DDR4 bank group.
@@ -157,17 +155,6 @@ impl Snapshot for RankActWindow {
             *slot = take_opt_time(r)?;
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for t in self.recent {
-            d.write_bool(t.is_some());
-            d.write_u64(t.map_or(0, Time::as_ps));
-        }
-        for &t in &self.last_in_group {
-            d.write_bool(t.is_some());
-            d.write_u64(t.map_or(0, Time::as_ps));
-        }
     }
 }
 

@@ -18,9 +18,7 @@ use crate::cmd::DramCommand;
 use crate::device::DramRank;
 use crate::error::DramError;
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan};
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{BankId, DefenseResponse, Detection, RowHammerDefense, RowId, Time};
 
 /// Why the RCD nacked a command.
@@ -490,38 +488,6 @@ impl Snapshot for Rcd {
         self.scrub_arrs = r.take_u64()?;
         self.injector.load_state(r)?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_usize(self.ranks.len());
-        for rank in &self.ranks {
-            rank.digest_state(d);
-        }
-        self.defense.digest_state(d);
-        for per_rank in &self.pending_arr {
-            for pending in per_rank {
-                d.write_bool(pending.is_some());
-                d.write_u32(pending.map_or(0, |r| r.0));
-            }
-        }
-        for per_rank in &self.bank_arr_until {
-            for &t in per_rank {
-                d.write_u64(t.as_ps());
-            }
-        }
-        for &t in &self.arr_block_until {
-            d.write_u64(t.as_ps());
-        }
-        d.write_usize(self.detections.len());
-        for det in &self.detections {
-            d.write_u32(det.bank.0);
-            d.write_u32(det.row.0);
-            d.write_u64(det.at.as_ps());
-            d.write_u64(det.act_count);
-        }
-        d.write_u64(self.nacks);
-        d.write_u64(self.scrub_arrs);
-        self.injector.digest_state(d);
     }
 }
 

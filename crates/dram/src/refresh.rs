@@ -6,9 +6,7 @@
 //! reports the covered rows so the fault model can clear their
 //! disturbance.
 
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::RowId;
 
 /// Round-robin cursor over a bank's refresh rowsets.
@@ -98,11 +96,6 @@ impl Snapshot for RefreshCursor {
         self.next_set = next_set;
         self.completed_refs = r.take_u64()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u32(self.next_set);
-        d.write_u64(self.completed_refs);
     }
 }
 

@@ -1,9 +1,7 @@
 //! Command and energy accounting for a DRAM rank.
 
 use crate::energy::DramEnergyModel;
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Running counters for one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,12 +102,6 @@ impl Snapshot for DramStats {
         self.nacks = r.take_u64()?;
         self.injected_nacks = r.take_u64()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for v in self.fields() {
-            d.write_u64(v);
-        }
     }
 }
 

@@ -19,7 +19,6 @@
 use twice_common::rng::SplitMix64;
 use twice_common::snapshot::{
     digest_of, restore_from, snapshot_bytes, SnapshotError, SnapshotReader, SnapshotWriter,
-    StateDigest,
 };
 use twice_common::{RowId, Time};
 use twice_dram::hammer::{BitFlip, HammerModel};
@@ -156,29 +155,11 @@ impl Dense {
         Ok(())
     }
 
+    /// The checksum [`Dense::save`] seals its blob with: a digest is its
+    /// blob's checksum.
     fn digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        d.write_u64(self.act_counter);
-        d.write_u64(self.peak);
-        for (i, &v) in self.disturbance.iter().enumerate() {
-            if v != 0 {
-                d.write_u32(i as u32);
-                d.write_u64(v);
-            }
-        }
-        for (i, &v) in self.flips_emitted.iter().enumerate() {
-            if v != 0 {
-                d.write_u32(i as u32);
-                d.write_u32(v);
-            }
-        }
-        d.write_usize(self.flips.len());
-        for f in &self.flips {
-            d.write_u32(f.victim.0);
-            d.write_u64(f.at.as_ps());
-            d.write_u64(f.disturbance);
-        }
-        d.finish()
+        let blob = self.save();
+        u64::from_le_bytes(blob[blob.len() - 8..].try_into().expect("8 bytes"))
     }
 }
 

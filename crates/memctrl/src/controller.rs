@@ -32,9 +32,7 @@ use crate::request::{AccessKind, MemRequest};
 use crate::resilience::{ControllerError, RetryPolicy, RetryState};
 use crate::scheduler::{make_scheduler, QueuedRequest, Scheduler, SchedulerKind};
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan};
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
     BankId, ChannelId, ColId, DdrTimings, DefenseResponse, DefenseStats, Detection, RankId,
     RowHammerDefense, RowId, Time,
@@ -1150,59 +1148,13 @@ impl Snapshot for ChannelController {
         self.recompute_min_next_ref();
         Ok(())
     }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        self.rcd.digest_state(d);
-        if let Some(def) = &self.mc_defense {
-            def.digest_state(d);
-        }
-        if let Some(def) = &self.fallback {
-            def.digest_state(d);
-        }
-        self.scheduler.digest_state(d);
-        d.write_usize(self.queue.len());
-        for q in &self.queue {
-            d.write_u64(q.id);
-            d.write_u64(q.req.addr);
-            d.write_bool(q.req.kind == AccessKind::Write);
-            d.write_u16(q.req.source);
-            d.write_u64(q.req.arrival.as_ps());
-            d.write_u8(q.access.channel.0);
-            d.write_u8(q.access.rank.0);
-            d.write_u16(q.access.bank);
-            d.write_u32(q.access.row.0);
-            d.write_u16(q.access.col.0);
-        }
-        d.write_u64(self.next_id);
-        d.write_u64(self.now.as_ps());
-        for t in &self.next_ref {
-            d.write_u64(t.as_ps());
-        }
-        for &h in &self.hits_served {
-            d.write_u32(h);
-        }
-        self.defense_stats.digest_state(d);
-        d.write_usize(self.mc_detections.len());
-        for det in &self.mc_detections {
-            d.write_u32(det.bank.0);
-            d.write_u32(det.row.0);
-            d.write_u64(det.at.as_ps());
-            d.write_u64(det.act_count);
-        }
-        d.write_u64(self.metadata_acts);
-        d.write_u64(self.served);
-        self.latency.digest_state(d);
-        self.injector.digest_state(d);
-        d.write_u64(self.fallback_until.as_ps());
-        d.write_u64(self.last_corruption_events);
-        d.write_u64(self.fallback_windows);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addrmap::AddressMapper;
+    use twice_common::snapshot::digest_of;
     use twice_common::{ChannelId, ColId, RankId, Topology};
 
     fn small_topo() -> Topology {
@@ -1429,12 +1381,6 @@ mod tests {
         }
     }
 
-    fn digest(c: &ChannelController) -> u64 {
-        let mut d = StateDigest::new();
-        c.digest_state(&mut d);
-        d.finish()
-    }
-
     #[test]
     fn snapshot_round_trip_mid_run_resumes_identically() {
         let mapper = AddressMapper::row_interleaved(&small_topo());
@@ -1464,7 +1410,7 @@ mod tests {
         let mut b = make();
         b.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
             .expect("restore");
-        assert_eq!(digest(&a), digest(&b), "restore must be exact");
+        assert_eq!(digest_of(&a), digest_of(&b), "restore must be exact");
         // Lockstep from here: the restored controller must make the same
         // decisions (scheduler picks, refreshes, defense actions).
         for _ in 0..40 {
@@ -1474,7 +1420,7 @@ mod tests {
         }
         assert_eq!(a.served(), b.served());
         assert_eq!(a.now(), b.now());
-        assert_eq!(digest(&a), digest(&b), "divergence after resume");
+        assert_eq!(digest_of(&a), digest_of(&b), "divergence after resume");
     }
 
     #[test]
@@ -1528,7 +1474,7 @@ mod tests {
                 let mut b = make();
                 b.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
                     .expect("restore");
-                assert_eq!(digest(&b), digest(&c));
+                assert_eq!(digest_of(&b), digest_of(&c));
                 hits += check(&b);
                 c = b;
                 restored = true;

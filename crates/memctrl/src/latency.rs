@@ -11,9 +11,7 @@
 //! quantile rule and merge are the workspace's one implementation. This
 //! module types them in [`Span`] and gives them a snapshot codec.
 
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Span;
 use twice_obs::{Log2Hist, BUCKETS};
 
@@ -110,19 +108,6 @@ impl Snapshot for LatencyHistogram {
         self.0 = Log2Hist::from_raw_parts(counts, total, sum, max);
         Ok(())
     }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for (bucket, &count) in self.0.buckets().iter().enumerate() {
-            if count != 0 {
-                d.write_u8(bucket as u8);
-                d.write_u64(count);
-            }
-        }
-        d.write_u64(self.0.count());
-        d.write_u64(self.0.max());
-        d.write_u64(self.0.sum() as u64);
-        d.write_u64((self.0.sum() >> 64) as u64);
-    }
 }
 
 #[cfg(test)]
@@ -196,10 +181,10 @@ mod tests {
         LatencyHistogram::new().quantile(1.5);
     }
 
-    /// The controller digests and snapshots this histogram, so its bytes
-    /// are part of every `System` digest and checkpoint. The samples hit
-    /// bucket 0, a middle bucket and bucket 63, and two `u64::MAX`
-    /// samples push the u128 sum past 64 bits.
+    /// The controller snapshots this histogram, so its bytes are part of
+    /// every `System` checkpoint and digest. The samples hit bucket 0, a
+    /// middle bucket and bucket 63, and two `u64::MAX` samples push the
+    /// u128 sum past 64 bits. The digest is the blob's trailing checksum.
     #[test]
     fn snapshot_and_digest_bytes_are_pinned() {
         let mut h = LatencyHistogram::new();
@@ -214,8 +199,8 @@ mod tests {
              0000000000013f03030000000000000003050000000000000003ffffffffffff\
              ffff039e86010000000040030200000000000000889cd7516322da97"
         );
-        assert_eq!(digest_of(&h), 0xad29_aec8_15ad_bf71);
-        assert_eq!(digest_of(&LatencyHistogram::new()), 0xdd45_7f17_9c50_0175);
+        assert_eq!(digest_of(&h), 0x97da_2263_51d7_9c88);
+        assert_eq!(digest_of(&LatencyHistogram::new()), 0x1d71_fd1e_27f5_6dec);
 
         let mut back = LatencyHistogram::new();
         restore_from(&mut back, &bytes).expect("pinned bytes restore");

@@ -16,7 +16,7 @@
 
 use crate::addrmap::DecodedAccess;
 use crate::request::MemRequest;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{RankId, RowId};
 
 /// A request waiting in the controller queue, with its decoded coordinate.
@@ -77,11 +77,6 @@ pub trait Scheduler: Send {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let _ = r;
         Ok(())
-    }
-
-    /// Folds mutable scheduling state into a digest.
-    fn digest_state(&self, d: &mut StateDigest) {
-        let _ = d;
     }
 }
 
@@ -369,12 +364,6 @@ impl Scheduler for ParBs {
         self.members.sort_unstable_by_key(|m| m.id);
         self.members.dedup_by_key(|m| m.id);
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for m in &self.members {
-            d.write_u64(m.id);
-        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! 64, then runs a random script of submits, controller-style
 //! pick-and-complete steps, out-of-order completions, bare picks,
 //! open-row changes and restores. After every step both schedulers must
-//! have made the same pick and must produce the same `digest_state` and
-//! `save_state` bytes.
+//! have made the same pick and must produce the same `save_state`
+//! bytes, and with them the same digest.
 //!
 //! Restores load one snapshot into both schedulers: a batch saved
 //! mid-script, that batch plus ids that are not queued (completed ones,
@@ -22,7 +22,7 @@ mod reference;
 
 use reference::ReferenceParBs;
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Time};
 use twice_memctrl::addrmap::DecodedAccess;
 use twice_memctrl::request::MemRequest;
@@ -201,23 +201,14 @@ impl Case {
         }
     }
 
-    /// Same `digest_state` and `save_state` bytes.
+    /// Same `save_state` bytes: a digest is their checksum, so equal
+    /// bytes are equal digests.
     fn check_state(&self, seed: u64, step: usize) {
-        let digest = |s: &dyn Scheduler| {
-            let mut d = StateDigest::new();
-            s.digest_state(&mut d);
-            d.finish()
-        };
         let saved = |s: &dyn Scheduler| {
             let mut w = SnapshotWriter::new();
             s.save_state(&mut w);
             w.finish()
         };
-        assert_eq!(
-            digest(&self.new),
-            digest(&self.reference),
-            "digest differs: seed {seed} step {step}"
-        );
         assert_eq!(
             saved(&self.new),
             saved(&self.reference),

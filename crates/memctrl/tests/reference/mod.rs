@@ -8,7 +8,7 @@
 //! pick itself tracks three FR-FCFS tiers with `(id, index)` keys: the
 //! oldest member row hit, the oldest member, the oldest request.
 
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{RankId, RowId};
 use twice_memctrl::scheduler::{QueuedRequest, Scheduler};
 
@@ -96,12 +96,6 @@ impl Scheduler for ReferenceParBs {
         self.batch.sort_unstable();
         self.batch.dedup();
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for id in &self.batch {
-            d.write_u64(*id);
-        }
     }
 }
 

@@ -19,7 +19,7 @@
 //! ramp `sub_th(level) = thRH · level / (levels + 1)`, which avoids
 //! split cascades (children start below the next level's threshold).
 
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
     BankId, DefensePressure, DefenseResponse, Detection, RowHammerDefense, RowId, Time,
 };
@@ -306,20 +306,6 @@ impl RowHammerDefense for Cbt {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.fired);
-        for tree in &self.banks {
-            d.write_u64(tree.refs_seen);
-            d.write_usize(tree.leaves.len());
-            for leaf in &tree.leaves {
-                d.write_u32(leaf.lo);
-                d.write_u32(leaf.hi);
-                d.write_u32(leaf.level);
-                d.write_u64(leaf.count);
-            }
-        }
     }
 }
 

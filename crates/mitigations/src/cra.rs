@@ -13,7 +13,7 @@
 //! crossing the threshold gets its (logical) neighbors refreshed.
 
 use std::collections::{HashMap, VecDeque};
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{BankId, DefenseResponse, Detection, RowHammerDefense, RowId, Time};
 
 #[derive(Debug, Clone, Default)]
@@ -217,32 +217,6 @@ impl RowHammerDefense for Cra {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for b in &self.banks {
-            d.write_u64(b.stamp);
-            d.write_u64(b.refs_seen);
-            let mut counters: Vec<(u32, u64)> = b.counters.iter().map(|(&r, &c)| (r, c)).collect();
-            counters.sort_unstable();
-            d.write_usize(counters.len());
-            for (row, count) in counters {
-                d.write_u32(row);
-                d.write_u64(count);
-            }
-            let mut cache: Vec<(u32, u64)> = b.cache.iter().map(|(&r, &s)| (r, s)).collect();
-            cache.sort_unstable();
-            d.write_usize(cache.len());
-            for (row, stamp) in cache {
-                d.write_u32(row);
-                d.write_u64(stamp);
-            }
-            d.write_usize(b.lru.len());
-            for &(row, stamp) in &b.lru {
-                d.write_u32(row);
-                d.write_u64(stamp);
-            }
-        }
     }
 }
 

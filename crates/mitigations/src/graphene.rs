@@ -16,7 +16,7 @@
 //! refresh window like TWiCe's accounting.
 
 use std::collections::HashMap;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
     BankId, DefensePressure, DefenseResponse, Detection, RowHammerDefense, RowId, Time,
 };
@@ -208,21 +208,6 @@ impl RowHammerDefense for Graphene {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.fired);
-        for b in &self.banks {
-            d.write_u64(b.spillover);
-            d.write_u64(b.refs_seen);
-            let mut counts: Vec<(u32, u64)> = b.counts.iter().map(|(&r, &c)| (r, c)).collect();
-            counts.sort_unstable();
-            d.write_usize(counts.len());
-            for (row, count) in counts {
-                d.write_u32(row);
-                d.write_u64(count);
-            }
-        }
     }
 }
 

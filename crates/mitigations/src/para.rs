@@ -13,7 +13,7 @@
 //! logical `row ± 1`.
 
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{BankId, DefenseResponse, RowHammerDefense, RowId, Time};
 
 /// The PARA defense.
@@ -81,10 +81,6 @@ impl RowHammerDefense for Para {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.rng.set_state(r.take_u64()?);
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
     }
 }
 

@@ -14,7 +14,7 @@
 //! deterministic guarantee).
 
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{BankId, DefenseResponse, RowHammerDefense, RowId, Time};
 
 /// The PRoHIT defense.
@@ -155,17 +155,6 @@ impl RowHammerDefense for Prohit {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
-        for table in &self.tables {
-            d.write_usize(table.len());
-            for &(row, hits) in table {
-                d.write_u32(row.0);
-                d.write_u32(hits);
-            }
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! Being in-DRAM, TRR resolves physical adjacency itself; it uses the
 //! ARR response channel like TWiCe does.
 
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
     BankId, DefensePressure, DefenseResponse, Detection, RowHammerDefense, RowId, Time,
 };
@@ -189,18 +189,6 @@ impl RowHammerDefense for Trr {
             }
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.fired);
-        for b in &self.banks {
-            d.write_u64(b.refs_seen);
-            d.write_usize(b.slots.len());
-            for slot in &b.slots {
-                d.write_u32(slot.row.0);
-                d.write_u64(slot.count);
-            }
-        }
     }
 }
 

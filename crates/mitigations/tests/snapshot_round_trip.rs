@@ -5,7 +5,9 @@
 //! built instance, and require (a) identical state digests immediately
 //! after the restore and (b) bit-identical responses and digests over a
 //! continued lockstep run. Any hidden state that escapes the snapshot
-//! surfaces as a hard failure here.
+//! surfaces as a hard failure here. A defense's digest is also pinned to
+//! be its blob's checksum, so `digest_state` cannot drift from
+//! `save_state`.
 
 use twice::{TableOrganization, TwiceParams};
 use twice_common::rng::SplitMix64;
@@ -94,6 +96,24 @@ fn snapshot_round_trip_preserves_behavior_for_every_defense() {
             digest(original.as_ref()),
             digest(restored.as_ref()),
             "{kind}: digest must match after continued run"
+        );
+    }
+}
+
+#[test]
+fn digest_state_is_the_blob_checksum_for_every_defense() {
+    let params = TwiceParams::fast_test();
+    for kind in every_kind() {
+        let mut d = make_defense(kind, &params, 2, 9);
+        let mut rng = SplitMix64::new(0xD1CE);
+        for i in 0..4_000u64 {
+            step(d.as_mut(), &mut rng, i);
+        }
+        let blob = save(d.as_ref());
+        assert_eq!(
+            digest(d.as_ref()).to_le_bytes(),
+            blob[blob.len() - 8..],
+            "{kind}: digest_state from a fresh accumulator must be the blob checksum"
         );
     }
 }

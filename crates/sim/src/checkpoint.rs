@@ -5,13 +5,14 @@
 //! feeds it, and advances in *epochs* of N requests. At any epoch
 //! boundary the whole mutable state — controller queues, DRAM FSMs,
 //! defense tables, RNG cursors — serializes to a self-contained blob
-//! ([`ResumableRun::checkpoint`]) whose trailing [`StateDigest`] is
-//! recomputed on restore: a checkpoint that does not reconstruct the
-//! exact state it was taken from is rejected, never silently loaded.
+//! ([`ResumableRun::checkpoint`]). Its last field is the run's state
+//! digest, the checksum of every field before it, which is recomputed
+//! on restore: a checkpoint that does not reconstruct the exact state
+//! it was taken from is rejected, never silently loaded.
 //! Replaying the remaining trace suffix from a restored run therefore
 //! must reproduce the uninterrupted run's final digest, which turns any
 //! hidden nondeterminism into a hard test failure (see
-//! `crates/sim/tests/digest_replay.rs`).
+//! `crates/sim/tests/crash_resume.rs`).
 
 use crate::cio::CampaignIo;
 use crate::config::SimConfig;
@@ -155,11 +156,25 @@ impl ResumableRun {
         w.finish()
     }
 
-    /// The 64-bit digest of the run's complete mutable state.
+    /// The 64-bit digest of the run's complete mutable state: the
+    /// checksum a blob of every checkpoint field before the digest
+    /// itself would end with.
     pub fn digest(&self) -> u64 {
-        let mut d = StateDigest::new();
-        self.digest_state(&mut d);
-        d.finish()
+        let mut w = SnapshotWriter::folding(StateDigest::new());
+        self.save_fields(&mut w);
+        w.into_digest().finish()
+    }
+
+    /// Every checkpoint field but the trailing digest.
+    fn save_fields(&self, w: &mut SnapshotWriter) {
+        w.put_str(&self.workload_label);
+        w.put_str(&self.defense_label);
+        w.put_u64(self.seed);
+        w.put_u64(self.total);
+        w.put_u64(self.done);
+        w.put_bool(self.complete);
+        self.system.save_state(w);
+        self.source.save_state(w);
     }
 
     /// Whether the trace has been fed and drained to completion.
@@ -185,14 +200,7 @@ impl ResumableRun {
 
 impl Snapshot for ResumableRun {
     fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.workload_label);
-        w.put_str(&self.defense_label);
-        w.put_u64(self.seed);
-        w.put_u64(self.total);
-        w.put_u64(self.done);
-        w.put_bool(self.complete);
-        self.system.save_state(w);
-        self.source.save_state(w);
+        self.save_fields(w);
         // The digest goes last so restore can compare it against the
         // digest of the state it just reconstructed.
         w.put_u64(self.digest());
@@ -241,17 +249,6 @@ impl Snapshot for ResumableRun {
             )));
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_str(&self.workload_label);
-        d.write_str(&self.defense_label);
-        d.write_u64(self.seed);
-        d.write_u64(self.total);
-        d.write_u64(self.done);
-        d.write_bool(self.complete);
-        self.system.digest_state(d);
-        self.source.digest_state(d);
     }
 }
 

@@ -39,9 +39,6 @@ pub struct SimConfig {
     pub page_policy: PagePolicy,
     /// Request-queue capacity per channel.
     pub queue_capacity: usize,
-    /// Move real bytes through the data model on every column access
-    /// (integrity experiments; off by default).
-    pub move_data: bool,
     /// Master seed (defenses, remap tables, workloads derive from it).
     pub seed: u64,
     /// Chaos fault plan applied to every channel (engine SEUs, RCD bus
@@ -74,7 +71,6 @@ impl SimConfig {
             scheduler: SchedulerKind::ParBs,
             page_policy: PagePolicy::paper_default(),
             queue_capacity: 64,
-            move_data: false,
             seed: 0x71CE,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::paper_default(),
@@ -108,7 +104,6 @@ impl SimConfig {
             scheduler: SchedulerKind::ParBs,
             page_policy: PagePolicy::paper_default(),
             queue_capacity: 64,
-            move_data: false,
             seed: 42,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::paper_default(),
@@ -138,7 +133,7 @@ impl SimConfig {
             scheduler: self.scheduler,
             page_policy: self.page_policy,
             queue_capacity: self.queue_capacity,
-            move_data: self.move_data,
+            move_data: false,
             bank_base: 0, // defenses are instantiated per channel
             remap_seed: self.seed ^ (u64::from(channel) << 48),
             retry: self.retry,

@@ -61,7 +61,7 @@ pub struct ChaosOutcome {
     pub retry_exhausted: bool,
     /// Bit flips recorded by the DRAM disturbance model. The whole point.
     pub bit_flips: usize,
-    /// The cell's final [`StateDigest`](twice_common::snapshot::StateDigest)
+    /// The cell's final [`ResumableRun::digest`](crate::checkpoint::ResumableRun::digest)
     /// over the complete simulator state. Journaled with the outcome, so
     /// a resumed campaign — and the parallel-equivalence test — can
     /// compare cells bit for bit, not just by their summary counters.

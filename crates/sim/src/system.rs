@@ -2,9 +2,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Time;
 use twice_dram::energy::DramEnergyModel;
 use twice_memctrl::controller::{ChannelController, DefenseLocation};
@@ -137,7 +135,8 @@ impl System {
             .unwrap_or(Time::ZERO)
     }
 
-    /// A 64-bit digest of the complete mutable system state.
+    /// A 64-bit digest of the complete mutable system state: the
+    /// checksum its snapshot blob ends with.
     pub fn digest(&self) -> u64 {
         twice_common::snapshot::digest_of(self)
     }
@@ -258,14 +257,6 @@ impl Snapshot for System {
             c.load_state(r)?;
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_str(&self.defense_label);
-        d.write_u64(self.requests);
-        for c in &self.controllers {
-            c.digest_state(d);
-        }
     }
 }
 

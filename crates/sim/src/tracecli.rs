@@ -11,8 +11,8 @@
 //! The replay side is digest-faithful: [`ReplaySource`] implements
 //! [`AccessSource`] with snapshot hooks, so a replayed trace drives
 //! the same [`System`] machinery as a live generator — including
-//! kill+resume checkpoints — and reproduces the live run's
-//! `StateDigest` byte for byte.
+//! kill+resume checkpoints — and reproduces the live run's state
+//! digest bit for bit.
 
 use crate::cio::{with_retries, CampaignIo, RealIo};
 use crate::config::SimConfig;
@@ -24,7 +24,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_memctrl::request::AccessKind;
 use twice_mitigations::DefenseKind;
 use twice_workloads::trace::{AccessSource, TraceItem};
@@ -264,10 +264,6 @@ impl AccessSource for ReplaySource {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.cursor = r.take_u64()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.cursor);
     }
 }
 

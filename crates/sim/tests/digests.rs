@@ -3,10 +3,12 @@
 //! `golden_runners.txt` pins the supervised grid drivers. This file pins
 //! what they run on: every defense of [`DefenseKind::verify_lineup`]
 //! replays a short stream of each workload below, under per-bank and
-//! all-bank refresh, and the run's StateDigest, ACT and ARR counts,
+//! all-bank refresh, and the run's state digest, ACT and ARR counts,
 //! flips and simulated time must reproduce `digests.jsonl` byte for
 //! byte. A change to the DRAM, controller, hammer or defense model that
-//! moves any state shows up here as the rows it changed.
+//! moves any state shows up here as the rows it changed, and so does a
+//! change to what a snapshot writes: every row also checks that the
+//! digest is the checksum the system's snapshot blob ends with.
 //!
 //! The streams are the synthetic S1–S3 generators and the checked-in
 //! corpus traces on the fast-test system, and FFT and mix-high on the
@@ -19,6 +21,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use twice_common::snapshot::snapshot_bytes;
 use twice_memctrl::controller::RefreshMode;
 use twice_mitigations::DefenseKind;
 use twice_sim::config::SimConfig;
@@ -100,6 +103,15 @@ fn row(stream: &Stream, mode: RefreshMode, kind: DefenseKind) -> String {
     system
         .run(stream.items.iter().copied())
         .expect("fault-free cells never exhaust their retries");
+    let digest = system.digest();
+    let blob = snapshot_bytes(&system);
+    assert_eq!(
+        digest.to_le_bytes(),
+        blob[blob.len() - 8..],
+        "{} {} {kind}: the digest must be the snapshot blob's checksum",
+        stream.workload,
+        refresh_label(mode),
+    );
     let m = system.metrics(stream.workload.clone());
     let arrs: u64 = system
         .controllers()
@@ -116,7 +128,7 @@ fn row(stream: &Stream, mode: RefreshMode, kind: DefenseKind) -> String {
         stream.workload,
         kind.cli_name().expect("lineup kinds have CLI names"),
         m.requests,
-        system.digest(),
+        digest,
         m.normal_acts,
         m.additional_acts,
         arrs,

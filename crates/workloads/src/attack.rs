@@ -9,7 +9,7 @@
 //! flip the victim; with TWiCe it must not.
 
 use crate::trace::{item, AccessSource, TraceItem};
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Topology};
 use twice_memctrl::addrmap::AddressMapper;
 use twice_memctrl::request::AccessKind;
@@ -123,10 +123,6 @@ impl AccessSource for HammerAttack {
         }
         self.cursor = cursor;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_usize(self.cursor);
     }
 
     fn next_access(&mut self) -> TraceItem {

@@ -7,7 +7,7 @@
 //! between distant rows. Multiple worker threads split the index space.
 
 use crate::trace::{item_from_addr, AccessSource, Geometry, TraceItem};
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Topology;
 use twice_memctrl::request::AccessKind;
 
@@ -86,13 +86,6 @@ impl AccessSource for FftSource {
         self.second_half = r.take_bool()?;
         self.writeback = r.take_bool()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u32(self.pass);
-        d.write_u64(self.index);
-        d.write_bool(self.second_half);
-        d.write_bool(self.writeback);
     }
 
     fn next_access(&mut self) -> TraceItem {

@@ -12,7 +12,7 @@
 
 use crate::trace::{item, AccessSource, TraceItem};
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Topology};
 use twice_memctrl::addrmap::AddressMapper;
 use twice_memctrl::request::AccessKind;
@@ -546,10 +546,6 @@ impl AccessSource for GenomeSource {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.cursor = r.take_u64()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.cursor);
     }
 
     fn next_access(&mut self) -> TraceItem {

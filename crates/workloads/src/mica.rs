@@ -10,7 +10,7 @@
 use crate::trace::{item_from_addr, AccessSource, Geometry, TraceItem};
 use crate::zipf::Zipf;
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Topology;
 use twice_memctrl::request::AccessKind;
 
@@ -107,16 +107,6 @@ impl AccessSource for MicaSource {
             None
         };
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
-        d.write_bool(self.pending_value.is_some());
-        if let Some((addr, kind, source)) = self.pending_value {
-            d.write_u64(addr);
-            d.write_bool(kind == AccessKind::Write);
-            d.write_u16(source);
-        }
     }
 
     fn next_access(&mut self) -> TraceItem {

@@ -11,7 +11,7 @@
 use crate::trace::{item_from_addr, AccessSource, Geometry, TraceItem};
 use crate::zipf::Zipf;
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Topology;
 use twice_memctrl::request::AccessKind;
 
@@ -95,14 +95,6 @@ impl AccessSource for PageRankSource {
         self.phase = r.take_u8()?;
         self.edge_cursor = r.take_u64()?;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
-        d.write_u64(self.vertex);
-        d.write_u64(self.edge_in_vertex);
-        d.write_u8(self.phase);
-        d.write_u64(self.edge_cursor);
     }
 
     fn next_access(&mut self) -> TraceItem {

@@ -9,7 +9,7 @@
 
 use crate::trace::{item_from_addr, AccessSource, Geometry, TraceItem};
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::Topology;
 use twice_memctrl::request::AccessKind;
 
@@ -87,15 +87,6 @@ impl AccessSource for RadixSource {
             *f = r.take_u64()?;
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
-        d.write_u64(self.cursor);
-        d.write_bool(self.scatter);
-        for &f in &self.bucket_fill {
-            d.write_u64(f);
-        }
     }
 
     fn next_access(&mut self) -> TraceItem {

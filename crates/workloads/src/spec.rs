@@ -13,7 +13,7 @@
 use crate::trace::{item, AccessSource, Geometry, TraceItem};
 use crate::zipf::Zipf;
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Topology};
 use twice_memctrl::request::AccessKind;
 
@@ -268,15 +268,6 @@ impl AccessSource for SpecAppSource {
         self.row = row;
         self.col = col as u16;
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
-        d.write_u8(self.channel);
-        d.write_u8(self.rank);
-        d.write_u16(self.bank);
-        d.write_u32(self.row);
-        d.write_u16(self.col);
     }
 
     fn next_access(&mut self) -> TraceItem {

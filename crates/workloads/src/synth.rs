@@ -14,7 +14,7 @@
 
 use crate::trace::{item, AccessSource, Geometry, TraceItem};
 use twice_common::rng::SplitMix64;
-use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
+use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Topology};
 use twice_memctrl::request::AccessKind;
 
@@ -43,10 +43,6 @@ impl AccessSource for S1Random {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.rng.set_state(r.take_u64()?);
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.rng.state());
     }
 
     fn next_access(&mut self) -> TraceItem {
@@ -131,12 +127,6 @@ impl AccessSource for S2CbtAdversarial {
         self.sweep_row = sweep_row;
         self.rng.set_state(r.take_u64()?);
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.cursor);
-        d.write_u32(self.sweep_row);
-        d.write_u64(self.rng.state());
     }
 
     fn next_access(&mut self) -> TraceItem {

@@ -1,8 +1,6 @@
 //! The generator abstraction shared by every workload.
 
-use twice_common::snapshot::{
-    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
-};
+use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{ChannelId, ColId, RankId, RowId, Time, Topology};
 use twice_memctrl::addrmap::{AddressMapper, DecodedAccess};
 use twice_memctrl::request::{AccessKind, MemRequest};
@@ -47,11 +45,6 @@ pub trait AccessSource {
         let _ = r;
         Ok(())
     }
-
-    /// Folds the mutable cursor/RNG state into a digest.
-    fn digest_state(&self, d: &mut StateDigest) {
-        let _ = d;
-    }
 }
 
 impl AccessSource for Box<dyn AccessSource + Send> {
@@ -65,10 +58,6 @@ impl AccessSource for Box<dyn AccessSource + Send> {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         (**self).load_state(r)
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        (**self).digest_state(d);
     }
 }
 
@@ -105,11 +94,6 @@ impl<G: AccessSource> Snapshot for Bounded<G> {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.remaining = r.take_u64()?;
         self.source.load_state(r)
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        d.write_u64(self.remaining);
-        self.source.digest_state(d);
     }
 }
 
@@ -231,16 +215,6 @@ impl AccessSource for WeightedInterleave {
             s.load_state(r)?;
         }
         Ok(())
-    }
-
-    fn digest_state(&self, d: &mut StateDigest) {
-        for &c in &self.credit {
-            d.write_u64(c as u64);
-        }
-        d.write_usize(self.cursor);
-        for (s, _) in &self.sources {
-            s.digest_state(d);
-        }
     }
 
     fn next_access(&mut self) -> TraceItem {
