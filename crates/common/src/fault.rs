@@ -248,11 +248,6 @@ impl FaultPlan {
         self
     }
 
-    /// The configured rate for `kind`.
-    pub fn rate_of(&self, kind: FaultKind) -> f64 {
-        self.rates[kind.index()]
-    }
-
     /// True if the plan can never fire any fault.
     pub fn is_none(&self) -> bool {
         self.scheduled.is_empty() && self.rates.iter().all(|&r| r == 0.0)

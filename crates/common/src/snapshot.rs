@@ -58,6 +58,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TWCS";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u16 = 1;
 
+/// How state digests are computed: 1 was a hand-written fold beside each
+/// `save_state`; 2 is [`digest_of`], the checksum of the snapshot blob.
+/// Journals that store digests record it in their meta line, so a
+/// journal whose digests were computed another way is refused on
+/// resume instead of mixing two definitions.
+pub const DIGEST_DEFINITION: u64 = 2;
+
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -132,25 +139,6 @@ impl StateDigest {
         for b in v.to_le_bytes() {
             self.step(b);
         }
-    }
-
-    /// Folds a `usize` through `u64` so 32- and 64-bit hosts agree.
-    #[inline]
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Folds a boolean as one tagged byte.
-    #[inline]
-    pub fn write_bool(&mut self, v: bool) {
-        self.step(0xB0);
-        self.step(u8::from(v));
-    }
-
-    /// Folds an `f64` by its IEEE-754 bit pattern (exact, not lossy).
-    #[inline]
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
     }
 
     /// Folds a byte slice, length-framed so concatenations cannot alias.

@@ -74,24 +74,6 @@ impl Span {
         self.0 / 1_000
     }
 
-    /// The span as fractional nanoseconds.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// The span as fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// The span as fractional milliseconds.
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Integer division rounding up: how many `step`s cover `self`.
     ///
     /// # Panics

@@ -2,15 +2,15 @@
 //!
 //! The fault model in [`crate::hammer`] decides *when* a victim row is
 //! disturbed past the threshold; this module gives those events bytes to
-//! land on, so "silent data corruption" is literal: rows hold data,
-//! reads and writes move it, and a row-hammer event flips a real bit.
+//! land on, so "silent data corruption" is literal: rows hold data, and a
+//! row-hammer event flips a real bit.
 //!
-//! Storage is sparse at 64-byte (cache-line) granularity: an untouched
-//! granule holds a deterministic background pattern derived from
-//! `(seed, row, granule)`, so memory use is proportional to the touched
-//! footprint, never to capacity. A shadow copy of what the *software*
-//! believes is stored (writes only, never flips) makes integrity
-//! checking exact: a granule is corrupted iff `actual != shadow`.
+//! Every 64-byte (cache-line) granule holds a deterministic background
+//! pattern derived from `(seed, row, granule)`. Only granules a flip has
+//! landed in are stored, so memory use is proportional to the damaged
+//! footprint, never to capacity. Nothing writes data, so what software
+//! believes is stored is always the pattern, and integrity checking is
+//! exact: a granule is corrupted iff its cells differ from its pattern.
 
 use std::collections::HashMap;
 use twice_common::rng::SplitMix64;
@@ -23,7 +23,7 @@ pub const GRANULE_BYTES: usize = 64;
 /// Integrity verdict for one row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowIntegrity {
-    /// Stored bits match what was written (or the background pattern).
+    /// Stored bits match the background pattern.
     Clean,
     /// Stored bits differ: silent corruption. Carries the flipped bit
     /// offsets (bit index within the row).
@@ -46,8 +46,6 @@ pub struct BankData {
     seed: u64,
     /// Actual cell contents (granules that diverged from the pattern).
     actual: HashMap<GranuleKey, [u8; GRANULE_BYTES]>,
-    /// What software wrote (never sees flips).
-    shadow: HashMap<GranuleKey, [u8; GRANULE_BYTES]>,
 }
 
 impl BankData {
@@ -67,7 +65,6 @@ impl BankData {
             row_bytes,
             seed,
             actual: HashMap::new(),
-            shadow: HashMap::new(),
         }
     }
 
@@ -87,55 +84,6 @@ impl BankData {
         out
     }
 
-    fn materialize(&mut self, key: GranuleKey) {
-        if !self.actual.contains_key(&key) {
-            let p = self.pattern(key);
-            self.actual.insert(key, p);
-            self.shadow.insert(key, p);
-        }
-    }
-
-    /// Writes `data` into `row` starting at byte `offset` (both the
-    /// cells and the software shadow).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write overruns the row.
-    pub fn write(&mut self, row: RowId, offset: usize, data: &[u8]) {
-        assert!(
-            offset + data.len() <= self.row_bytes,
-            "write overruns the row"
-        );
-        for (i, &byte) in data.iter().enumerate() {
-            let pos = offset + i;
-            let key = (row.0, (pos / GRANULE_BYTES) as u32);
-            self.materialize(key);
-            let within = pos % GRANULE_BYTES;
-            self.actual.get_mut(&key).expect("materialized")[within] = byte;
-            self.shadow.get_mut(&key).expect("materialized")[within] = byte;
-        }
-    }
-
-    /// Reads `len` bytes of `row` starting at `offset` — the *actual*
-    /// cell contents, flips included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read overruns the row.
-    pub fn read(&self, row: RowId, offset: usize, len: usize) -> Vec<u8> {
-        assert!(offset + len <= self.row_bytes, "read overruns the row");
-        (offset..offset + len)
-            .map(|pos| {
-                let key = (row.0, (pos / GRANULE_BYTES) as u32);
-                let within = pos % GRANULE_BYTES;
-                match self.actual.get(&key) {
-                    Some(g) => g[within],
-                    None => self.pattern(key)[within],
-                }
-            })
-            .collect()
-    }
-
     /// Flips physical bit `bit` of `row` (a row-hammer event). Only the
     /// actual cells change — software never learns.
     ///
@@ -149,20 +97,19 @@ impl BankData {
         );
         let pos = (bit / 8) as usize;
         let key = (row.0, (pos / GRANULE_BYTES) as u32);
-        self.materialize(key);
-        self.actual.get_mut(&key).expect("materialized")[pos % GRANULE_BYTES] ^= 1 << (bit % 8);
+        let pattern = self.pattern(key);
+        self.actual.entry(key).or_insert(pattern)[pos % GRANULE_BYTES] ^= 1 << (bit % 8);
     }
 
-    /// Compares actual cells against the software shadow.
+    /// Compares actual cells against the background pattern.
     pub fn verify(&self, row: RowId) -> RowIntegrity {
         let mut flipped = Vec::new();
-        for (key, actual) in &self.actual {
+        for (&key, actual) in &self.actual {
             if key.0 != row.0 {
                 continue;
             }
-            let shadow = self.shadow.get(key).expect("shadow tracks actual");
-            for (i, (a, s)) in actual.iter().zip(shadow.iter()).enumerate() {
-                let mut diff = a ^ s;
+            for (i, (a, p)) in actual.iter().zip(self.pattern(key)).enumerate() {
+                let mut diff = a ^ p;
                 while diff != 0 {
                     let b = diff.trailing_zeros();
                     let base = u64::from(key.1) * GRANULE_BYTES as u64 * 8;
@@ -179,7 +126,7 @@ impl BankData {
         }
     }
 
-    /// All rows whose cells diverge from the shadow.
+    /// All rows whose cells diverge from the pattern.
     pub fn corrupted_rows(&self) -> Vec<RowId> {
         let mut rows: Vec<u32> = self.actual.keys().map(|k| k.0).collect();
         rows.sort_unstable();
@@ -188,23 +135,6 @@ impl BankData {
             .map(RowId)
             .filter(|&r| self.verify(r).is_corrupted())
             .collect()
-    }
-
-    /// Number of materialized granules (memory-use metric).
-    pub fn touched_granules(&self) -> usize {
-        self.actual.len()
-    }
-}
-
-fn save_granules(w: &mut SnapshotWriter, map: &HashMap<GranuleKey, [u8; GRANULE_BYTES]>) {
-    let mut entries: Vec<(GranuleKey, &[u8])> =
-        map.iter().map(|(&k, v)| (k, v.as_slice())).collect();
-    entries.sort_unstable_by_key(|&(k, _)| k);
-    w.put_usize(entries.len());
-    for ((row, granule), bytes) in entries {
-        w.put_u32(row);
-        w.put_u32(granule);
-        w.put_bytes(bytes);
     }
 }
 
@@ -226,14 +156,39 @@ fn load_granules(
 }
 
 impl Snapshot for BankData {
+    /// The stored granules in key order, then a "shadow" section of the
+    /// same keys, each with its background pattern: what software
+    /// believes the cells hold. The shadow follows from the keys, but it
+    /// stays in the format so that blobs, and the digests that are their
+    /// checksums, keep their bytes; `load_state` refuses any other shadow.
     fn save_state(&self, w: &mut SnapshotWriter) {
-        save_granules(w, &self.actual);
-        save_granules(w, &self.shadow);
+        let mut keys: Vec<GranuleKey> = self.actual.keys().copied().collect();
+        keys.sort_unstable();
+        for shadow in [false, true] {
+            w.put_usize(keys.len());
+            for &key in &keys {
+                w.put_u32(key.0);
+                w.put_u32(key.1);
+                w.put_bytes(&if shadow {
+                    self.pattern(key)
+                } else {
+                    self.actual[&key]
+                });
+            }
+        }
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.actual = load_granules(r)?;
-        self.shadow = load_granules(r)?;
+        let shadow = load_granules(r)?;
+        let expected: HashMap<GranuleKey, [u8; GRANULE_BYTES]> =
+            self.actual.keys().map(|&k| (k, self.pattern(k))).collect();
+        if shadow != expected {
+            return Err(SnapshotError::StateMismatch(
+                "row data's shadow section is not the background pattern of its stored granules"
+                    .to_string(),
+            ));
+        }
         Ok(())
     }
 }
@@ -241,6 +196,7 @@ impl Snapshot for BankData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twice_common::snapshot::{fnv1a, restore_from, snapshot_bytes};
 
     fn bank() -> BankData {
         BankData::new(8_192, 42)
@@ -249,42 +205,23 @@ mod tests {
     #[test]
     fn untouched_rows_read_their_pattern_deterministically() {
         let b = bank();
-        let a = b.read(RowId(5), 0, 64);
-        let b2 = bank().read(RowId(5), 0, 64);
-        assert_eq!(a, b2);
-        assert_ne!(a, bank().read(RowId(6), 0, 64), "patterns differ per row");
+        assert_eq!(b.pattern((5, 0)), bank().pattern((5, 0)));
+        assert_ne!(
+            b.pattern((5, 0)),
+            b.pattern((6, 0)),
+            "patterns differ per row"
+        );
         assert_eq!(b.verify(RowId(5)), RowIntegrity::Clean);
-    }
-
-    #[test]
-    fn writes_read_back_and_stay_clean() {
-        let mut b = bank();
-        b.write(RowId(3), 100, &[0xAA, 0xBB, 0xCC]);
-        assert_eq!(b.read(RowId(3), 100, 3), vec![0xAA, 0xBB, 0xCC]);
-        // Bytes around the write keep the pattern.
-        let pattern = bank().read(RowId(3), 96, 4);
-        assert_eq!(b.read(RowId(3), 96, 4), pattern);
-        assert_eq!(b.verify(RowId(3)), RowIntegrity::Clean);
-    }
-
-    #[test]
-    fn writes_spanning_granules_work() {
-        let mut b = bank();
-        let data: Vec<u8> = (0..130).map(|i| i as u8).collect();
-        b.write(RowId(1), 60, &data);
-        assert_eq!(b.read(RowId(1), 60, 130), data);
-        assert!(b.touched_granules() >= 3);
     }
 
     #[test]
     fn a_flip_is_silent_corruption() {
         let mut b = bank();
-        b.write(RowId(3), 0, &[0x00; 8]);
         b.flip_bit(RowId(3), 13);
         let v = b.verify(RowId(3));
         assert_eq!(v, RowIntegrity::Corrupted(vec![13]));
-        // The read sees the corrupted value (bit 13 = byte 1, bit 5).
-        assert_eq!(b.read(RowId(3), 1, 1), vec![0b0010_0000]);
+        // The cells hold the pattern with bit 13 (byte 1, bit 5) flipped.
+        assert_eq!(b.actual[&(3, 0)][1], b.pattern((3, 0))[1] ^ 0b0010_0000);
         assert_eq!(b.corrupted_rows(), vec![RowId(3)]);
     }
 
@@ -299,16 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn rewriting_a_corrupted_byte_heals_it() {
-        let mut b = bank();
-        b.write(RowId(3), 0, &[0u8; 4]);
-        b.flip_bit(RowId(3), 5);
-        assert!(b.verify(RowId(3)).is_corrupted());
-        b.write(RowId(3), 0, &[0u8; 4]);
-        assert_eq!(b.verify(RowId(3)), RowIntegrity::Clean);
-    }
-
-    #[test]
     fn double_flip_cancels() {
         let mut b = bank();
         b.flip_bit(RowId(1), 7);
@@ -319,17 +246,48 @@ mod tests {
     #[test]
     fn storage_is_sparse_per_granule() {
         let mut b = bank();
-        assert_eq!(b.touched_granules(), 0);
-        b.write(RowId(100), 0, &[1]);
-        assert_eq!(b.touched_granules(), 1, "one granule, not a whole row");
-        let _ = b.read(RowId(200), 0, 64); // reads do not materialize
-        assert_eq!(b.touched_granules(), 1);
+        assert!(b.actual.is_empty());
+        b.flip_bit(RowId(100), 3);
+        assert_eq!(b.actual.len(), 1, "one granule, not a whole row");
+        assert_eq!(b.verify(RowId(200)), RowIntegrity::Clean);
+        assert_eq!(b.actual.len(), 1, "verifying does not materialize");
     }
 
     #[test]
-    #[should_panic(expected = "overruns")]
-    fn overrun_write_panics() {
-        bank().write(RowId(0), 8_190, &[0u8; 8]);
+    fn load_state_refuses_a_shadow_that_is_not_the_pattern() {
+        let mut b = bank();
+        b.flip_bit(RowId(3), 13);
+        let blob = snapshot_bytes(&b);
+        let mut restored = bank();
+        restore_from(&mut restored, &blob).expect("an unedited blob restores");
+        assert_eq!(restored.verify(RowId(3)), RowIntegrity::Corrupted(vec![13]));
+        let refused = |blob: &[u8]| {
+            let err = restore_from(&mut bank(), blob).unwrap_err();
+            assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err:?}");
+        };
+        // The shadow's one granule ends the payload: edit its last byte
+        // and re-seal the blob.
+        let mut edited = blob.clone();
+        let end = edited.len() - 8;
+        edited[end - 1] ^= 1;
+        let sum = fnv1a(&edited[..end]);
+        edited[end..].copy_from_slice(&sum.to_le_bytes());
+        refused(&edited);
+        // A shadow that names another granule, or none.
+        for shadow in [vec![(4, 0)], vec![]] {
+            let mut w = SnapshotWriter::new();
+            w.put_usize(1);
+            w.put_u32(3);
+            w.put_u32(0);
+            w.put_bytes(&b.actual[&(3, 0)]);
+            w.put_usize(shadow.len());
+            for key in shadow {
+                w.put_u32(key.0);
+                w.put_u32(key.1);
+                w.put_bytes(&b.pattern(key));
+            }
+            refused(&w.finish());
+        }
     }
 
     #[test]

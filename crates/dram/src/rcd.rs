@@ -67,8 +67,6 @@ pub struct Rcd {
     bank_arr_until: Vec<Vec<Time>>,
     /// Until when each rank blocks ACTs because of an ARR in progress.
     arr_block_until: Vec<Time>,
-    /// Global bank-id base for `(rank 0, bank 0)` of this DIMM.
-    bank_base: u32,
     detections: Vec<Detection>,
     nacks: u64,
     /// Fail-safe neighbor refreshes performed for rows the defense
@@ -91,13 +89,13 @@ impl std::fmt::Debug for Rcd {
 }
 
 impl Rcd {
-    /// Creates an RCD over `ranks`, hosting `defense`. Global bank ids for
-    /// the defense are `bank_base + rank_index * banks_per_rank + bank`.
+    /// Creates an RCD over `ranks`, hosting `defense`. Bank ids for the
+    /// defense are `rank_index * banks_per_rank + bank`.
     ///
     /// # Panics
     ///
     /// Panics if `ranks` is empty or ranks have differing bank counts.
-    pub fn new(ranks: Vec<DramRank>, defense: Box<dyn RowHammerDefense>, bank_base: u32) -> Rcd {
+    pub fn new(ranks: Vec<DramRank>, defense: Box<dyn RowHammerDefense>) -> Rcd {
         assert!(!ranks.is_empty(), "an RCD needs at least one rank");
         let banks = ranks[0].config().banks;
         assert!(
@@ -118,7 +116,6 @@ impl Rcd {
             bank_arr_until,
             ranks,
             defense,
-            bank_base,
             detections: Vec::new(),
             nacks: 0,
             scrub_arrs: 0,
@@ -169,11 +166,11 @@ impl Rcd {
         Ok(())
     }
 
-    /// The global [`BankId`] of `(rank, bank)` behind this RCD.
+    /// The [`BankId`] the defense sees for `(rank, bank)` behind this RCD.
     #[inline]
     pub fn bank_id_of(&self, rank: usize, bank: u16) -> BankId {
         let banks = u32::from(self.ranks[rank].config().banks);
-        BankId(self.bank_base + rank as u32 * banks + u32::from(bank))
+        BankId(rank as u32 * banks + u32::from(bank))
     }
 
     /// Presents one command for `rank` at `now`.
@@ -395,11 +392,6 @@ impl Rcd {
     pub fn scrub_arrs(&self) -> u64 {
         self.scrub_arrs
     }
-
-    /// Whether an ARR is pending or in progress anywhere on `rank`.
-    pub fn rank_blocked_until(&self, rank: usize) -> Time {
-        self.arr_block_until[rank]
-    }
 }
 
 impl Snapshot for Rcd {
@@ -532,7 +524,7 @@ mod tests {
 
     fn rcd(n: u64) -> Rcd {
         let rank = DramRank::new(RankConfig::for_test(2, 64).with_n_th(1_000_000));
-        Rcd::new(vec![rank], Box::new(EveryNth { n, count: 0 }), 0)
+        Rcd::new(vec![rank], Box::new(EveryNth { n, count: 0 }))
     }
 
     #[test]
@@ -704,7 +696,6 @@ mod tests {
             Box::new(CountRefs {
                 refs: std::cell::Cell::new(0),
             }),
-            0,
         );
         rcd.issue(0, DramCommand::Refresh { bank: 0 }, t(0))
             .unwrap();
@@ -784,9 +775,10 @@ mod tests {
     fn bank_id_composition_spans_ranks() {
         let r0 = DramRank::new(RankConfig::for_test(4, 64));
         let r1 = DramRank::new(RankConfig::for_test(4, 64));
-        let rcd = Rcd::new(vec![r0, r1], Box::new(EveryNth { n: 1, count: 0 }), 100);
-        assert_eq!(rcd.bank_id_of(0, 0), BankId(100));
-        assert_eq!(rcd.bank_id_of(0, 3), BankId(103));
-        assert_eq!(rcd.bank_id_of(1, 0), BankId(104));
+        let rcd = Rcd::new(vec![r0, r1], Box::new(EveryNth { n: 1, count: 0 }));
+        assert_eq!(rcd.bank_id_of(0, 0), BankId(0));
+        assert_eq!(rcd.bank_id_of(0, 3), BankId(3));
+        assert_eq!(rcd.bank_id_of(1, 0), BankId(4));
+        assert_eq!(rcd.bank_id_of(1, 3), BankId(7));
     }
 }

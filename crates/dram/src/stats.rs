@@ -49,12 +49,6 @@ impl DramStats {
         self.acts + self.arr_victim_acts + self.explicit_refresh_acts
     }
 
-    /// All nacks the MC observed, protocol and injected alike.
-    #[inline]
-    pub fn total_nacks(&self) -> u64 {
-        self.nacks + self.injected_nacks
-    }
-
     /// Total energy (pJ) under `model`.
     pub fn energy_pj(&self, model: &DramEnergyModel) -> u64 {
         model.total_pj(

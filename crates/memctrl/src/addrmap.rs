@@ -1,15 +1,12 @@
 //! Physical-address decomposition.
 //!
 //! Maps a physical byte address onto `(channel, rank, bank, row, column)`
-//! (§2.4). Two schemes are provided:
-//!
-//! * **row-interleaved** (`row : rank : bank : channel : col : line`):
-//!   consecutive cache lines stay in one row, consecutive rows stripe
-//!   across channels/banks — the conventional open-page layout.
-//! * **bank-xor**: same, but the bank index is XOR-hashed with low row
-//!   bits to spread pathological strides (a standard MC option).
+//! (§2.4) with the **row-interleaved** layout
+//! (`row : rank : bank : channel : col : line`): consecutive cache lines
+//! stay in one row, consecutive rows stripe across channels/banks — the
+//! conventional open-page layout, and the one a v2 trace's topology
+//! digest names.
 
-use crate::request::MemRequest;
 use twice_common::{ChannelId, ColId, RankId, RowId, Topology};
 
 /// A decoded DRAM coordinate.
@@ -27,19 +24,9 @@ pub struct DecodedAccess {
     pub col: ColId,
 }
 
-/// Address-mapping scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapScheme {
-    /// Conventional open-page interleaving.
-    RowInterleaved,
-    /// Row-interleaved with XOR bank hashing.
-    BankXor,
-}
-
 /// A configured address mapper.
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
-    scheme: MapScheme,
     line_bytes: u64,
     cols: u64,
     channels: u64,
@@ -51,13 +38,7 @@ pub struct AddressMapper {
 impl AddressMapper {
     /// A row-interleaved mapper for `topo` with 64-byte lines.
     pub fn row_interleaved(topo: &Topology) -> AddressMapper {
-        AddressMapper::new(topo, MapScheme::RowInterleaved)
-    }
-
-    /// A mapper for `topo` with the given scheme and 64-byte lines.
-    pub fn new(topo: &Topology, scheme: MapScheme) -> AddressMapper {
         AddressMapper {
-            scheme,
             line_bytes: 64,
             cols: u64::from(topo.row_bytes) / 64,
             channels: u64::from(topo.channels),
@@ -74,14 +55,11 @@ impl AddressMapper {
         a /= self.cols;
         let channel = a % self.channels;
         a /= self.channels;
-        let mut bank = a % self.banks;
+        let bank = a % self.banks;
         a /= self.banks;
         let rank = a % self.ranks;
         a /= self.ranks;
         let row = a % self.rows;
-        if self.scheme == MapScheme::BankXor {
-            bank = (bank ^ (row % self.banks)) % self.banks;
-        }
         DecodedAccess {
             channel: ChannelId(channel as u8),
             rank: RankId(rank as u8),
@@ -91,14 +69,8 @@ impl AddressMapper {
         }
     }
 
-    /// Decodes a request.
-    pub fn decode_request(&self, req: &MemRequest) -> DecodedAccess {
-        self.decode(req.addr)
-    }
-
     /// Builds the smallest physical address that decodes to the given
-    /// coordinate (inverse of [`decode`](Self::decode) for
-    /// `RowInterleaved`; for `BankXor` the bank is pre-unhashed).
+    /// coordinate (the inverse of [`decode`](Self::decode)).
     ///
     /// This is the workhorse of the workload generators: they think in
     /// `(bank, row)` and need addresses to feed the controller.
@@ -110,11 +82,7 @@ impl AddressMapper {
         row: RowId,
         col: ColId,
     ) -> u64 {
-        let bank = match self.scheme {
-            MapScheme::RowInterleaved => u64::from(bank),
-            MapScheme::BankXor => (u64::from(bank) ^ (u64::from(row.0) % self.banks)) % self.banks,
-        };
-        ((((u64::from(row.0) * self.ranks + u64::from(rank.0)) * self.banks + bank)
+        ((((u64::from(row.0) * self.ranks + u64::from(rank.0)) * self.banks + u64::from(bank))
             * self.channels
             + u64::from(channel.0))
             * self.cols
@@ -142,20 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip_bankxor() {
-        let m = AddressMapper::new(&topo(), MapScheme::BankXor);
-        let a = DecodedAccess {
-            channel: ChannelId(1),
-            rank: RankId(1),
-            bank: 7,
-            row: RowId(12345),
-            col: ColId(9),
-        };
-        let addr = m.encode(a.channel, a.rank, a.bank, a.row, a.col);
-        assert_eq!(m.decode(addr), a);
-    }
-
-    #[test]
     fn consecutive_lines_share_a_row() {
         let m = AddressMapper::row_interleaved(&topo());
         let a0 = m.decode(0);
@@ -173,16 +127,6 @@ mod tests {
         let a0 = m.decode(0);
         let a1 = m.decode(row_bytes);
         assert_ne!(a0.channel, a1.channel);
-    }
-
-    #[test]
-    fn bank_xor_spreads_same_bank_stride() {
-        let m = AddressMapper::new(&topo(), MapScheme::BankXor);
-        // Addresses that differ only in row bits map to different banks.
-        let stride = 8192 * 2 * 16 * 2; // full row turnover
-        let banks: std::collections::HashSet<u16> =
-            (0..16u64).map(|i| m.decode(i * stride).bank).collect();
-        assert!(banks.len() > 1, "XOR hashing must vary the bank");
     }
 
     #[test]

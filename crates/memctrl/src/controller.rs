@@ -1,7 +1,8 @@
 //! The per-channel memory-controller event loop.
 //!
 //! [`ChannelController`] owns one channel's RCD (and through it the
-//! channel's ranks), a request queue, a scheduler, and a page policy. It
+//! channel's ranks), a request queue, the PAR-BS scheduler, and the
+//! minimalist-open page policy (the Table 4 controller). It
 //! converts requests into legal DDR command sequences, self-clocking off
 //! the device model: a command is attempted at the current time and, on a
 //! timing rejection or an RCD nack, retried at the reported ready
@@ -30,7 +31,7 @@ use crate::latency::LatencyHistogram;
 use crate::pagepolicy::PagePolicy;
 use crate::request::{AccessKind, MemRequest};
 use crate::resilience::{ControllerError, RetryPolicy, RetryState};
-use crate::scheduler::{make_scheduler, QueuedRequest, Scheduler, SchedulerKind};
+use crate::scheduler::{ParBs, QueuedRequest, Scheduler};
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan};
 use twice_common::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{
@@ -91,18 +92,10 @@ pub struct ControllerConfig {
     pub arr_radius: u32,
     /// Auto-refresh scheduling mode.
     pub refresh_mode: RefreshMode,
-    /// Scheduling policy.
-    pub scheduler: SchedulerKind,
     /// Page policy.
     pub page_policy: PagePolicy,
     /// Request-queue capacity (Table 4: 64).
     pub queue_capacity: usize,
-    /// Whether column accesses move real bytes through the data model
-    /// (off by default: the Figure 7 metrics don't need the data path,
-    /// and integrity experiments turn it on explicitly).
-    pub move_data: bool,
-    /// Global bank-id base for `(rank 0, bank 0)` of this channel.
-    pub bank_base: u32,
     /// Seed for remap tables.
     pub remap_seed: u64,
     /// Retry bounds for the nack-resend loop (attempt budget, backoff,
@@ -128,11 +121,8 @@ impl ControllerConfig {
             far_coupling: None,
             arr_radius: 1,
             refresh_mode: RefreshMode::PerBank,
-            scheduler: SchedulerKind::ParBs,
             page_policy: PagePolicy::paper_default(),
             queue_capacity: 64,
-            move_data: false,
-            bank_base: 0,
             remap_seed: 1,
             retry: RetryPolicy::paper_default(),
             fault_plan: FaultPlan::none(),
@@ -184,7 +174,7 @@ pub struct ChannelController {
     cfg: ControllerConfig,
     rcd: Rcd,
     mc_defense: Option<Box<dyn RowHammerDefense>>,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: ParBs,
     queue: Vec<QueuedRequest>,
     /// [`row_key`](Self::row_key) of each queued request, slot for slot
     /// with `queue`: the page policy counts queued row hits on these.
@@ -254,18 +244,17 @@ impl ChannelController {
             DefenseLocation::MemoryController => (Box::new(NoDefense), Some(defense)),
         };
         // Decorrelate the RCD's bus-fault stream from the MC's own
-        // (refresh/jitter) stream with per-component salts; the channel's
-        // bank base keeps multi-channel systems decorrelated too.
-        let rcd = Rcd::new(ranks, rcd_defense, cfg.bank_base)
-            .with_fault_plan(&cfg.fault_plan, 0x5ECD ^ u64::from(cfg.bank_base));
-        let injector = cfg.fault_plan.injector(0x3C01 ^ u64::from(cfg.bank_base));
+        // (refresh/jitter) stream with per-component salts; each
+        // channel's plan carries a seed of its own.
+        let rcd = Rcd::new(ranks, rcd_defense).with_fault_plan(&cfg.fault_plan, 0x5ECD);
+        let injector = cfg.fault_plan.injector(0x3C01);
         let total_banks = usize::from(cfg.ranks) * usize::from(cfg.banks_per_rank);
         // Stagger per-bank refreshes evenly over one tREFI.
         let next_ref = (0..total_banks)
             .map(|i| Time::ZERO + cfg.timings.t_refi / total_banks as u64 * i as u64)
             .collect();
         let mut c = ChannelController {
-            scheduler: make_scheduler(cfg.scheduler),
+            scheduler: ParBs::paper_default(),
             rcd,
             mc_defense,
             queue: Vec::with_capacity(cfg.queue_capacity),
@@ -321,16 +310,9 @@ impl ChannelController {
         (fb as u64) << 32 | u64::from(access.row.0)
     }
 
-    #[inline]
-    fn global_bank(&self, rank: usize, bank: u16) -> BankId {
-        BankId(
-            self.cfg.bank_base + rank as u32 * u32::from(self.cfg.banks_per_rank) + u32::from(bank),
-        )
-    }
-
     /// Whether the queue has room for another request.
     #[inline]
-    pub fn has_capacity(&self) -> bool {
+    fn has_capacity(&self) -> bool {
         self.queue.len() < self.cfg.queue_capacity
     }
 
@@ -342,7 +324,7 @@ impl ChannelController {
     /// coordinate is out of range for this channel.
     ///
     /// [`has_capacity`]: Self::has_capacity
-    pub fn submit(&mut self, req: MemRequest, access: DecodedAccess) {
+    fn submit(&mut self, req: MemRequest, access: DecodedAccess) {
         assert!(self.has_capacity(), "request queue overflow");
         assert!(
             self.in_range(&access),
@@ -373,9 +355,28 @@ impl ChannelController {
             && access.row.0 < self.cfg.rows_per_bank
     }
 
-    /// Runs the controller over a request trace, keeping the queue as
-    /// full as the trace allows, until both the trace and the queue are
-    /// drained.
+    /// Services queued requests until the queue has room, then submits
+    /// `req`.
+    ///
+    /// # Errors
+    ///
+    /// [`ControllerError::RetryExhausted`] if a command's nack-retry
+    /// budget runs out while making room (only possible under fault
+    /// injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinate is out of range for this channel.
+    pub fn feed(&mut self, req: MemRequest, access: DecodedAccess) -> Result<(), ControllerError> {
+        while !self.has_capacity() {
+            self.service_one()?;
+        }
+        self.submit(req, access);
+        Ok(())
+    }
+
+    /// Runs the controller over a request trace: [`feed`](Self::feed)s
+    /// each item, then [`drain`](Self::drain)s the queue.
     ///
     /// # Errors
     ///
@@ -386,28 +387,10 @@ impl ChannelController {
     where
         I: IntoIterator<Item = (MemRequest, DecodedAccess)>,
     {
-        let mut trace = trace.into_iter();
-        let mut pending: Option<(MemRequest, DecodedAccess)> = None;
-        loop {
-            // Refill.
-            while self.has_capacity() {
-                match pending.take().or_else(|| trace.next()) {
-                    Some((req, access)) => self.submit(req, access),
-                    None => break,
-                }
-            }
-            if self.queue.is_empty() {
-                match trace.next() {
-                    Some(item) => {
-                        pending = Some(item);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            self.service_one()?;
+        for (req, access) in trace {
+            self.feed(req, access)?;
         }
-        Ok(())
+        self.drain()
     }
 
     /// Services queued requests until the queue is empty, under one
@@ -466,29 +449,6 @@ impl ChannelController {
             },
         };
         self.issue(rank, col_cmd)?;
-        if self.cfg.move_data {
-            let offset = usize::from(q.access.col.0) * 64;
-            match q.req.kind {
-                AccessKind::Write => {
-                    // Deterministic payload derived from the address, so
-                    // integrity checks can recompute expectations.
-                    let mut line = [0u8; 64];
-                    for (i, chunk) in line.chunks_mut(8).enumerate() {
-                        let v = q.req.addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64) << 56;
-                        chunk.copy_from_slice(&v.to_le_bytes());
-                    }
-                    self.rcd
-                        .rank_mut(rank)
-                        .write_data(bank, q.access.row, offset, &line);
-                }
-                AccessKind::Read => {
-                    let _ = self
-                        .rcd
-                        .rank_mut(rank)
-                        .read_data(bank, q.access.row, offset, 64);
-                }
-            }
-        }
         let fb = self.flat_bank(rank, bank);
         self.hits_served[fb] += 1;
         // Page policy.
@@ -557,7 +517,7 @@ impl ChannelController {
             for bank in 0..self.cfg.banks_per_rank {
                 let fb = self.flat_bank(rank, bank);
                 while self.next_ref[fb] <= self.now {
-                    let gbank = self.global_bank(rank, bank);
+                    let gbank = self.rcd.bank_id_of(rank, bank);
                     let now = self.now;
                     let backlog = self.now.saturating_since(self.next_ref[fb]) / t_refi;
                     // Chaos: the scheduler postpones this REF by one
@@ -636,7 +596,7 @@ impl ChannelController {
                 let now = self.now;
                 if self.mc_defense.is_some() {
                     for bank in 0..self.cfg.banks_per_rank {
-                        let gbank = self.global_bank(rank, bank);
+                        let gbank = self.rcd.bank_id_of(rank, bank);
                         let resp = self
                             .mc_defense
                             .as_mut()
@@ -658,7 +618,7 @@ impl ChannelController {
         let fb = self.flat_bank(rank, bank);
         self.hits_served[fb] = 0;
         if self.mc_defense.is_some() {
-            let gbank = self.global_bank(rank, bank);
+            let gbank = self.rcd.bank_id_of(rank, bank);
             let now = self.now;
             let response = self
                 .mc_defense
@@ -668,7 +628,7 @@ impl ChannelController {
             self.apply_mc_response(rank, bank, response);
         }
         if self.fallback.is_some() && self.now < self.fallback_until {
-            let gbank = self.global_bank(rank, bank);
+            let gbank = self.rcd.bank_id_of(rank, bank);
             let now = self.now;
             let response = self
                 .fallback
@@ -818,12 +778,6 @@ impl ChannelController {
         self.rcd.defense().faults_injected()
     }
 
-    /// Whether the corruption fallback window is currently open.
-    #[inline]
-    pub fn fallback_active(&self) -> bool {
-        self.fallback.is_some() && self.now < self.fallback_until
-    }
-
     /// Distinct corruption fallback windows opened so far.
     #[inline]
     pub fn fallback_windows(&self) -> u64 {
@@ -935,11 +889,6 @@ impl ChannelController {
     /// Queue-to-completion request latencies.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
-    }
-
-    /// Mutable access to the RCD (for fault-model inspection in tests).
-    pub fn rcd_mut(&mut self) -> &mut Rcd {
-        &mut self.rcd
     }
 
     /// The RCD.
@@ -1238,11 +1187,12 @@ mod tests {
     #[test]
     fn unprotected_hammer_produces_bit_flips() {
         let mapper = AddressMapper::row_interleaved(&small_topo());
-        let mut c = controller(); // n_th = 100
-                                  // Alternate two conflicting rows in one bank: every access is a
-                                  // row miss, hammering both rows' neighbors.
-                                  // FR-FCFS coalesces up to 4 queued hits per ACT, so 2000 requests
-                                  // still yield ~250 ACTs per row, past N_th = 100.
+        let mut c = controller();
+        // Alternate two conflicting rows in one bank: every access is a
+        // row miss, hammering both rows' neighbors. PAR-BS serves row
+        // hits first and minimalist-open keeps a row for up to 4 of
+        // them, so 2000 requests still yield ~250 ACTs per row, past
+        // the test config's N_th = 100.
         let trace: Vec<_> = (0..2000u32)
             .map(|i| req(&mapper, 0, 8 + (i % 2) * 4, 0))
             .collect();
@@ -1343,27 +1293,6 @@ mod tests {
         let refs: u64 = c.rank_stats().map(|s| s.refreshes).sum();
         assert!(refs > 0);
         assert_eq!(prunes.load(std::sync::atomic::Ordering::Relaxed), refs);
-    }
-
-    #[test]
-    fn move_data_round_trips_written_lines() {
-        let mapper = AddressMapper::row_interleaved(&small_topo());
-        let mut cfg = ControllerConfig::for_test(64);
-        cfg.move_data = true;
-        cfg.n_th = 1_000_000; // keep the fault model quiet
-        let mut c = ChannelController::without_defense(cfg);
-        let (mut req, access) = req(&mapper, 0, 5, 3);
-        req.kind = AccessKind::Write;
-        let addr = req.addr;
-        c.submit(req, access);
-        while c.service_one().expect("fault-free run") {}
-        // The written line is present in the device's data array and
-        // matches the deterministic payload.
-        let line = c.rcd().ranks()[0].read_data(0, RowId(5), 3 * 64, 64);
-        let expected_first = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes();
-        assert_eq!(&line[..8], &expected_first);
-        // Integrity: no corruption happened.
-        assert!(!c.rcd().ranks()[0].verify_row(0, RowId(5)).is_corrupted());
     }
 
     /// An MC-side defense that refreshes logical neighbors of every 10th ACT.

@@ -3,11 +3,11 @@
 
 //! A memory-controller simulator for the TWiCe reproduction.
 //!
-//! Models the MC half of the Table 4 system: physical-address mapping,
-//! per-channel request queues, FR-FCFS and PAR-BS scheduling, open /
-//! closed / minimalist-open page policies, per-bank auto-refresh
+//! Models the MC half of the Table 4 system: row-interleaved
+//! physical-address mapping, 64-entry per-channel request queues, PAR-BS
+//! scheduling, the minimalist-open page policy, per-bank auto-refresh
 //! management, and the nack/resend protocol the paper adds between the
-//! RCD and the MC (§5.2).
+//! RCD and the MC (§5.2). That one controller is the only one built.
 //!
 //! The controller drives the [`twice_dram`] device model, so every command
 //! it emits is checked against real DDR4 timing — the activation-rate
@@ -18,7 +18,7 @@
 //! * [`request`] — memory requests and decoded DRAM coordinates.
 //! * [`addrmap`] — physical-address → (channel, rank, bank, row, col).
 //! * [`pagepolicy`] — when to close an open row.
-//! * [`scheduler`] — FCFS, FR-FCFS, and PAR-BS request schedulers.
+//! * [`scheduler`] — the PAR-BS request scheduler.
 //! * [`controller`] — the per-channel controller event loop.
 //! * [`resilience`] — bounded nack retry, backoff, and the starvation
 //!   watchdog that turn protocol faults into structured errors.

@@ -1,4 +1,4 @@
-//! DRAM page (row-buffer) management policies.
+//! DRAM page (row-buffer) management.
 //!
 //! After serving a column access the controller must decide whether to
 //! keep the row open. The evaluation system uses the **minimalist-open**
@@ -8,13 +8,11 @@
 //! latency and, relevant to row-hammering, avoids the one-ACT-per-access
 //! pathology of a strict closed-page policy.
 
-/// When to close an open row.
+/// When to close an open row. Minimalist-open is the only policy; the
+/// enum stays because Table 4 prints its `Debug` form and layerbench's
+/// controller copy calls [`close_after_access`](Self::close_after_access).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePolicy {
-    /// Keep rows open until a conflicting access forces a precharge.
-    Open,
-    /// Precharge immediately after every column access.
-    Closed,
     /// Keep the row open for at most `max_hits` column accesses
     /// (minimalist-open; the paper's system uses 4).
     MinimalistOpen {
@@ -34,8 +32,6 @@ impl PagePolicy {
     /// waiting in the queue.
     pub fn close_after_access(&self, hits_served: u32, queued_hits: usize) -> bool {
         match *self {
-            PagePolicy::Open => false,
-            PagePolicy::Closed => queued_hits == 0,
             PagePolicy::MinimalistOpen { max_hits } => hits_served >= max_hits || queued_hits == 0,
         }
     }
@@ -50,19 +46,6 @@ impl Default for PagePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn open_never_closes() {
-        assert!(!PagePolicy::Open.close_after_access(100, 0));
-    }
-
-    #[test]
-    fn closed_closes_when_no_hits_wait() {
-        assert!(PagePolicy::Closed.close_after_access(1, 0));
-        // ...but exploits queued hits to the same row (standard
-        // closed-page-with-hit-coalescing behavior).
-        assert!(!PagePolicy::Closed.close_after_access(1, 3));
-    }
 
     #[test]
     fn minimalist_open_bounds_hits() {

@@ -1,18 +1,23 @@
-//! Request schedulers: FCFS, FR-FCFS, and PAR-BS.
+//! The PAR-BS request scheduler.
 //!
 //! The evaluation system schedules with **PAR-BS** (Table 4,
 //! [Mutlu & Moscibroda, ISCA'08]): requests are grouped into batches with
 //! a per-source cap; the current batch is serviced to completion before
 //! newer requests, which bounds inter-thread interference. Within a batch
-//! (and for the simpler policies) the classic **FR-FCFS** rule applies:
-//! row-buffer hits first, then oldest first.
+//! the FR-FCFS rule applies: row-buffer hits first, then oldest first.
 //!
-//! FCFS and FR-FCFS pick in one pass over the queue. PAR-BS records its
-//! members' coordinates and queue slots when a batch forms, in one pass
-//! that keeps each source's oldest requests. A pick then walks the
-//! member list, not the queue, and reads the chosen member's recorded
-//! slot; it scans the queue for the member's id only when a removal has
-//! moved it (see [`ParBs`]).
+//! PAR-BS records its members' coordinates and queue slots when a batch
+//! forms, in one pass that keeps each source's oldest requests. A pick
+//! then walks the member list, not the queue, and reads the chosen
+//! member's recorded slot; it scans the queue for the member's id only
+//! when a removal has moved it (see [`ParBs`]).
+//!
+//! [`ChannelController`](crate::controller::ChannelController) holds a
+//! [`ParBs`] by value. The [`Scheduler`] trait, [`make_scheduler`],
+//! [`QueuedRequest`] and the one-variant [`SchedulerKind`] stay public
+//! because layerbench keeps its own copy of the controller's service
+//! loop (`layerbench/src/hooks.rs`), which builds its scheduler through
+//! them.
 
 use crate::addrmap::DecodedAccess;
 use crate::request::MemRequest;
@@ -20,6 +25,9 @@ use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use twice_common::{RankId, RowId};
 
 /// A request waiting in the controller queue, with its decoded coordinate.
+///
+/// layerbench's controller copy builds these field by field, so the
+/// three fields are part of the API.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedRequest {
     /// Monotonic id assigned by the controller at enqueue.
@@ -30,14 +38,12 @@ pub struct QueuedRequest {
     pub access: DecodedAccess,
 }
 
-/// Which scheduling policy to instantiate.
+/// Which scheduling policy to instantiate. PAR-BS is the only one; the
+/// enum stays because `SimConfig::scheduler` names it and layerbench's
+/// controller copy passes it to [`make_scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Strict arrival order.
-    Fcfs,
-    /// Row-hit-first, then oldest.
-    FrFcfs,
-    /// Batch scheduling with FR-FCFS inside the batch (Table 4 default).
+    /// Batch scheduling with FR-FCFS inside the batch (Table 4).
     #[default]
     ParBs,
 }
@@ -45,7 +51,9 @@ pub enum SchedulerKind {
 /// A request scheduler.
 ///
 /// `open_row` reports the currently open row of `(rank, bank)` so the
-/// scheduler can prefer row hits.
+/// scheduler can prefer row hits. [`ParBs`] implements it, and so does
+/// the reference PAR-BS the lockstep test checks it against;
+/// layerbench's controller copy calls it through a `Box<dyn Scheduler>`.
 pub trait Scheduler: Send {
     /// The policy's display name.
     fn name(&self) -> &str;
@@ -59,89 +67,25 @@ pub trait Scheduler: Send {
     ) -> Option<usize>;
 
     /// Notifies the scheduler that request `id` completed.
-    fn on_complete(&mut self, id: u64) {
-        let _ = id;
-    }
+    fn on_complete(&mut self, id: u64);
 
-    /// Serializes mutable scheduling state (checkpointing hook). FCFS and
-    /// FR-FCFS are stateless; PAR-BS overrides this to save its batch.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let _ = w;
-    }
+    /// Serializes mutable scheduling state (checkpointing hook).
+    fn save_state(&self, w: &mut SnapshotWriter);
 
     /// Restores state written by [`save_state`](Self::save_state).
     ///
     /// # Errors
     ///
     /// Decode errors from a truncated or mismatched snapshot.
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let _ = r;
-        Ok(())
-    }
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
 }
 
-/// Creates a boxed scheduler of the given kind (PAR-BS uses the paper's
-/// batching cap of 5 requests per source).
+/// Creates a boxed scheduler of the given kind: the Table 4 PAR-BS of
+/// [`ParBs::paper_default`]. layerbench's controller copy builds its
+/// scheduler here.
 pub fn make_scheduler(kind: SchedulerKind) -> Box<dyn Scheduler> {
     match kind {
-        SchedulerKind::Fcfs => Box::new(Fcfs),
-        SchedulerKind::FrFcfs => Box::new(FrFcfs),
-        SchedulerKind::ParBs => Box::new(ParBs::new(5)),
-    }
-}
-
-/// First-come first-served.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fcfs;
-
-impl Scheduler for Fcfs {
-    fn name(&self) -> &str {
-        "FCFS"
-    }
-
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        _open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize> {
-        queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, q)| q.id)
-            .map(|(i, _)| i)
-    }
-}
-
-/// Row-hit-first, then oldest-first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrFcfs;
-
-impl Scheduler for FrFcfs {
-    fn name(&self) -> &str {
-        "FR-FCFS"
-    }
-
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize> {
-        // One pass: the oldest row hit, else the oldest. `open_row` is
-        // asked only about a request that would beat the best hit so
-        // far. Strict comparisons keep the lowest index among equal ids.
-        let mut hit: Option<(u64, usize)> = None;
-        let mut first: Option<(u64, usize)> = None;
-        for (i, q) in queue.iter().enumerate() {
-            if first.is_none_or(|(id, _)| q.id < id) {
-                first = Some((q.id, i));
-            }
-            if hit.is_none_or(|(id, _)| q.id < id)
-                && open_row(q.access.rank, q.access.bank) == Some(q.access.row)
-            {
-                hit = Some((q.id, i));
-            }
-        }
-        hit.or(first).map(|(_, i)| i)
+        SchedulerKind::ParBs => Box::new(ParBs::paper_default()),
     }
 }
 
@@ -207,6 +151,11 @@ impl Member {
 }
 
 impl ParBs {
+    /// The Table 4 scheduler: at most 5 requests per source per batch.
+    pub fn paper_default() -> ParBs {
+        ParBs::new(5)
+    }
+
     /// Creates a PAR-BS scheduler with `batch_cap` requests per source
     /// per batch.
     ///
@@ -391,25 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn fcfs_picks_oldest() {
-        let mut s = Fcfs;
-        let queue = vec![q(5, 0, 0, 1), q(2, 0, 1, 2), q(9, 0, 2, 3)];
-        assert_eq!(s.pick(&queue, &no_open), Some(1));
-        assert_eq!(s.pick(&[], &no_open), None);
-    }
-
-    #[test]
-    fn frfcfs_prefers_row_hits() {
-        let mut s = FrFcfs;
-        let queue = vec![q(1, 0, 0, 10), q(2, 0, 0, 20), q(3, 0, 0, 20)];
-        let open = |_: RankId, b: u16| if b == 0 { Some(RowId(20)) } else { None };
-        // Oldest row hit is id 2 (index 1), despite id 1 being older.
-        assert_eq!(s.pick(&queue, &open), Some(1));
-        // Without an open row, oldest wins.
-        assert_eq!(s.pick(&queue, &no_open), Some(0));
-    }
-
-    #[test]
     fn parbs_caps_per_source_and_prioritizes_batch() {
         let mut s = ParBs::new(1);
         // Source 0 floods; source 1 has one old request.
@@ -534,8 +464,6 @@ mod tests {
 
     #[test]
     fn factory_names() {
-        assert_eq!(make_scheduler(SchedulerKind::Fcfs).name(), "FCFS");
-        assert_eq!(make_scheduler(SchedulerKind::FrFcfs).name(), "FR-FCFS");
         assert_eq!(make_scheduler(SchedulerKind::ParBs).name(), "PAR-BS");
     }
 }

@@ -28,6 +28,7 @@ use crate::report::Table;
 use crate::runner::WorkloadKind;
 use std::collections::HashMap;
 use twice_common::fault::FaultPlan;
+use twice_common::snapshot::DIGEST_DEFINITION;
 use twice_mitigations::DefenseKind;
 
 /// The journal file name inside a campaign directory.
@@ -156,8 +157,9 @@ fn grid_specs(cfg_base: &SimConfig, sabotage: usize) -> Vec<CellSpec> {
     specs
 }
 
-/// The journal's first line: everything that fixes the cells' results.
-/// A resume whose journal opens with any other line is refused.
+/// The journal's first line: everything that fixes the cells' results,
+/// and how their digests are computed. A resume whose journal opens with
+/// any other line is refused.
 fn meta_line(cfg_base: &SimConfig, cc: &CampaignConfig) -> String {
     seal_line(&emit_line(&[
         ("campaign", JsonValue::Str("chaos".to_string())),
@@ -166,6 +168,7 @@ fn meta_line(cfg_base: &SimConfig, cc: &CampaignConfig) -> String {
         ("epoch", JsonValue::U64(cc.epoch)),
         ("sabotage", JsonValue::U64(cc.sabotage as u64)),
         ("defense", JsonValue::Str(cc.defense.to_string())),
+        ("digest_definition", JsonValue::U64(DIGEST_DEFINITION)),
     ]))
 }
 
@@ -637,6 +640,27 @@ mod tests {
         let resumed = chaos_campaign(&cfg, &cc).expect("resume under the first seed");
         assert_eq!(resumed.salvaged, 3);
         assert_eq!(resumed.table.to_string(), clean.table.to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_that_does_not_name_the_digest_definition_is_refused() {
+        // A journal written before meta lines named the digest definition
+        // opens with this run's meta line minus that field, and its cells
+        // carry digests of another definition.
+        let cfg = SimConfig::fast_test();
+        let dir = std::env::temp_dir().join(format!("twice-old-digests-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cc = CampaignConfig::new(4_000);
+        cc.dir = Some(dir.clone());
+        cc.resume = true;
+        let meta = unseal_line(&meta_line(&cfg, &cc)).expect("a sealed meta line");
+        let old = meta.replace(&format!(",\"digest_definition\":{DIGEST_DEFINITION}"), "");
+        assert_ne!(old, meta, "the meta line names the digest definition");
+        std::fs::write(dir.join(JOURNAL_FILE), seal_line(&old) + "\n").unwrap();
+        let err = chaos_campaign(&cfg, &cc).expect_err("a journal of old-style digests");
+        assert!(matches!(err, OpenError::ForeignJournal(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -33,9 +33,11 @@ pub struct SimConfig {
     pub arr_radius: u32,
     /// Auto-refresh mode (per-bank or all-bank).
     pub refresh_mode: RefreshMode,
-    /// Scheduler for every channel.
+    /// Scheduler for every channel. PAR-BS is the only one and the
+    /// controller always runs it; Table 4 prints this field, and
+    /// layerbench's copy of the controller builds its scheduler from it.
     pub scheduler: SchedulerKind,
-    /// Page policy for every channel.
+    /// Page policy for every channel (minimalist-open, the only one).
     pub page_policy: PagePolicy,
     /// Request-queue capacity per channel.
     pub queue_capacity: usize,
@@ -130,11 +132,8 @@ impl SimConfig {
             far_coupling: self.far_coupling,
             arr_radius: self.arr_radius,
             refresh_mode: self.refresh_mode,
-            scheduler: self.scheduler,
             page_policy: self.page_policy,
             queue_capacity: self.queue_capacity,
-            move_data: false,
-            bank_base: 0, // defenses are instantiated per channel
             remap_seed: self.seed ^ (u64::from(channel) << 48),
             retry: self.retry,
             fault_plan: {

@@ -12,8 +12,6 @@ pub fn table4(cfg: &SimConfig) -> Table {
     );
     let topo = &cfg.topology;
     let scheduler = match cfg.scheduler {
-        SchedulerKind::Fcfs => "FCFS",
-        SchedulerKind::FrFcfs => "FR-FCFS",
         SchedulerKind::ParBs => "PAR-BS",
     };
     let rows: Vec<(&str, String)> = vec![
@@ -46,12 +44,25 @@ mod tests {
     #[test]
     fn paper_system_matches_table4() {
         let t = table4(&SimConfig::paper_default());
-        let s = t.to_string();
-        assert!(s.contains("DDR4-2400"));
-        assert!(s.contains("PAR-BS"));
-        assert!(s.contains("64 entries"));
-        assert!(s.contains("MinimalistOpen"));
-        assert!(s.contains("131072"));
-        assert!(s.contains("64 GiB"));
+        assert_eq!(
+            t.to_string(),
+            "\
+## Table 4: parameters of the simulated system
+| resource              | value                           |
+| --------------------- | ------------------------------- |
+| memory channels / MCs | 2                               |
+| ranks per channel     | 2                               |
+| banks per rank        | 16                              |
+| rows per bank         | 131072                          |
+| row size              | 8192 B                          |
+| total capacity        | 64 GiB                          |
+| module type           | DDR4-2400 (RDIMM, RCD per DIMM) |
+| request queue         | 64 entries                      |
+| scheduling policy     | PAR-BS                          |
+| DRAM page policy      | MinimalistOpen { max_hits: 4 }  |
+| RH threshold N_th     | 139000                          |
+| TWiCe thRH            | 32768                           |
+"
+        );
     }
 }

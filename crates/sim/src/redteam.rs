@@ -41,6 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 use twice_common::rng::SplitMix64;
+use twice_common::snapshot::DIGEST_DEFINITION;
 use twice_mitigations::DefenseKind;
 use twice_workloads::genome::{GenomeSpace, PatternGenome};
 use twice_workloads::tracev2::{decode_salvage, encode_trace};
@@ -386,6 +387,7 @@ fn meta_line(rc: &RedteamConfig) -> String {
         ("generations", JsonValue::U64(u64::from(rc.generations))),
         ("requests", JsonValue::U64(rc.requests)),
         ("epoch", JsonValue::U64(rc.epoch)),
+        ("digest_definition", JsonValue::U64(DIGEST_DEFINITION)),
     ]))
 }
 
@@ -1009,6 +1011,23 @@ mod tests {
         let mut other = tiny_config(&dir);
         other.cfg.seed ^= 1;
         let err = redteam_search(&other).unwrap_err();
+        assert!(err.contains("different campaign"), "got: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_that_does_not_name_the_digest_definition_is_refused() {
+        // A journal written before meta lines named the digest definition
+        // opens with this search's meta line minus that field, and its
+        // generation digests are of another definition.
+        let dir = tmp("old-digests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rc = tiny_config(&dir);
+        let meta = unseal_line(&meta_line(&rc)).expect("a sealed meta line");
+        let old = meta.replace(&format!(",\"digest_definition\":{DIGEST_DEFINITION}"), "");
+        assert_ne!(old, meta, "the meta line names the digest definition");
+        std::fs::write(dir.join(REDTEAM_JOURNAL), seal_line(&old) + "\n").unwrap();
+        let err = redteam_search(&rc).unwrap_err();
         assert!(err.contains("different campaign"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -39,12 +39,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of display-able values.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Table {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -81,10 +81,7 @@ impl System {
     pub fn feed(&mut self, (req, access): TraceItem) -> Result<(), ControllerError> {
         let c = access.channel.index();
         assert!(c < self.controllers.len(), "trace channel out of range");
-        while !self.controllers[c].has_capacity() {
-            self.controllers[c].service_one()?;
-        }
-        self.controllers[c].submit(req, access);
+        self.controllers[c].feed(req, access)?;
         self.requests += 1;
         Ok(())
     }
@@ -182,11 +179,6 @@ impl System {
             .iter()
             .map(|c| c.additional_acts() + c.detections().len() as u64)
             .sum()
-    }
-
-    /// Mutable access to a controller (fault-model inspection).
-    pub fn controller_mut(&mut self, channel: usize) -> &mut ChannelController {
-        &mut self.controllers[channel]
     }
 
     /// Collects the run's metrics under `workload_label`.

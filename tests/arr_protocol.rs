@@ -38,7 +38,7 @@ impl RowHammerDefense for FlagOnce {
 
 fn rcd_with_flag(row: RowId) -> Rcd {
     let rank = DramRank::new(RankConfig::for_test(4, 256).with_n_th(1_000_000));
-    Rcd::new(vec![rank], Box::new(FlagOnce { row, fired: false }), 0)
+    Rcd::new(vec![rank], Box::new(FlagOnce { row, fired: false }))
 }
 
 fn t(ns: u64) -> Time {
@@ -175,7 +175,6 @@ fn arr_victims_are_resolved_through_the_remap_table() {
             row: remapped,
             fired: false,
         }),
-        0,
     );
     rcd.issue(
         0,
